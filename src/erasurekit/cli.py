@@ -37,7 +37,6 @@ from .serialize import (
     fmt17,
     load_json,
     measurement_from_dict,
-    report_to_dict,
     result_to_dict,
     verdict_to_dict,
 )
@@ -155,8 +154,8 @@ def cmd_analyze(args) -> int:
     }
     payload = {
         "config": config,
-        "direct": report_to_dict(direct),
-        "converse": report_to_dict(converse),
+        "direct": direct.to_dict(),
+        "converse": converse.to_dict(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_stable(payload))
@@ -348,6 +347,12 @@ def cmd_optimize(args) -> int:
         f"wrote {args.out} (best value {result.best_value:.12f}, "
         f"random unitary: {verdict.is_random_unitary})"
     )
+    if not result.converged:
+        print(
+            f"warning: the best restart did not converge within --iters {args.iters} "
+            f"at --tol {args.tol:g}; raise --iters or loosen --tol",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

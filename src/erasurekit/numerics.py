@@ -130,12 +130,6 @@ def support_rank(p, *, cutoff: float = RANK_CUTOFF) -> int:
     return int((w > cutoff).sum())
 
 
-def support_basis(p, *, cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """Orthonormal columns spanning the support of a PSD matrix."""
-    w, v = psd_eigh(p)
-    return v[:, w > cutoff]
-
-
 def trace_norm(a) -> float:
     """Trace norm ||a||_1 = sum of singular values."""
     a = as_matrix(a)

@@ -8,10 +8,15 @@ square is bounded below by its tangent, t^2 >= 2 t0 t - t0^2. Both touch at
 the current point, so the resulting linear surrogate minorizes F there, and
 its exact maximizer over isometries is the (conjugated) polar factor of the
 m x K coefficient matrix G[j, k] = t_j Tr[V_j^dag E_k rho]. Each step is
-therefore nondecreasing in F. The do-nothing mixing W = I is always restart 0,
-a deterministically perturbed identity is restart 1 (the exact identity can
-sit on an unstable fixed point of the ascent map), and the remaining restarts
-are seeded Haar isometries.
+therefore nondecreasing in F.
+
+Each step makes exactly one SVD of the branches E'_j rho. Its singular values
+give the value F(W) = sum_j (sum of singular values)^2 and its polar factors
+V_j build the next G, so F is never evaluated apart from the step. The polish
+in ``detect_random_unitary`` walks the same kernel. The do-nothing mixing
+W = I is always restart 0, a deterministically perturbed identity is restart 1
+(the exact identity can sit on an unstable fixed point of the ascent map), and
+the remaining restarts are seeded Haar isometries.
 """
 
 from __future__ import annotations
@@ -70,34 +75,48 @@ class RandomUnitaryVerdict:
     residual: float
 
 
-def _objective(ops: np.ndarray, rho: np.ndarray, w: np.ndarray) -> float:
-    branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
-    t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=1)
-    return float((t**2).sum())
+def _mm_steps(ops, rho, w):
+    """Yield (w, F(w)) along the MM ascent, starting at ``w`` itself.
+
+    Each step makes one branch SVD: its singular values give F at the current
+    point and its polar factors V_j = X_j Yh_j build the next mixing. The
+    generator is lazy, so a caller that stops after a yield pays for no
+    further step.
+    """
+    ops_rho = ops @ rho
+    while True:
+        x, s, yh = np.linalg.svd(np.einsum("jk,kab->jab", w, ops) @ rho)
+        t = s.sum(axis=1)
+        yield w, float((t**2).sum())
+        g = t[:, None] * np.einsum("jab,kab->jk", (x @ yh).conj(), ops_rho)
+        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
+        w = (gx @ gyh).conj()
 
 
 def _ascend(ops, rho, w, max_iters, tol, restart, trace):
     """MM ascent from ``w``; appends (restart, iter, value) rows, returns (w, value, converged)."""
-    ops_rho = ops @ rho
-    value = _objective(ops, rho, w)
+    steps = _mm_steps(ops, rho, w)
+    w, value = next(steps)
     trace.append((restart, 0, value))
-    converged = False
-    for it in range(1, max_iters + 1):
-        branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
-        x, s, yh = np.linalg.svd(branches_rho)
-        t = s.sum(axis=1)
-        v = x @ yh
-        g = t[:, None] * np.einsum("jab,kab->jk", v.conj(), ops_rho)
-        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
-        w = (gx @ gyh).conj()
-        new_value = _objective(ops, rho, w)
+    # range comes first in zip, so reaching max_iters starts no extra step
+    for it, (new_w, new_value) in zip(range(1, max_iters + 1), steps):
         trace.append((restart, it, new_value))
-        if abs(new_value - value) < tol:
-            value = new_value
-            converged = True
+        done = abs(new_value - value) < tol
+        w, value = new_w, new_value
+        if done:
+            return w, value, True
+    return w, value, False
+
+
+def _polish(ops, rho, w, iters):
+    """Further MM steps from ``w`` while F strictly increases; returns the last increasing (w, value)."""
+    steps = _mm_steps(ops, rho, w)
+    w, value = next(steps)
+    for _, (new_w, new_value) in zip(range(iters), steps):
+        if not new_value > value:
             break
-        value = new_value
-    return w, value, converged
+        w, value = new_w, new_value
+    return w, value
 
 
 def _maximally_mixed(d: int) -> np.ndarray:
@@ -206,8 +225,9 @@ def detect_random_unitary(
 ) -> RandomUnitaryVerdict:
     """Decide numerically whether the channel mixes unitaries.
 
-    Optimizes erasure at the maximally mixed state (reusing ``result`` when it
-    was produced for that configuration), then polishes the best mixing with
+    Optimizes erasure at the maximally mixed state (reusing ``result`` when its
+    mixing has as many outcomes as the channel has Kraus operators, as a
+    default ``optimize_erasure`` run gives), then polishes the best mixing with
     further ascent so the normalized branches E'_j / sqrt(p(j) d) can be tested
     for unitarity at witness precision. A true verdict needs the optimum
     within ``tol`` of one, branch residuals below 10 sqrt(tol), and near-zero
@@ -217,17 +237,15 @@ def detect_random_unitary(
     d = channel.dim
     rho = _maximally_mixed(d)
     kk = channel.kraus_count
-    if result is None or result.best_mixing.kraus_count != kk:
+    reusable = (
+        result is not None
+        and result.best_mixing.kraus_count == kk
+        and result.best_mixing.outcomes == kk
+    )
+    if not reusable:
         result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
     ops = np.stack(channel.operators)
-    w = result.best_mixing.mixing
-    value = _objective(ops, rho, w)
-    for _ in range(polish_iters):
-        w2, v2, _ = _ascend(ops, rho, w, 1, 0.0, -1, [])
-        if not v2 > value:
-            break
-        w, value = w2, v2
-    best_value = value
+    w, best_value = _polish(ops, rho, result.best_mixing.mixing, polish_iters)
 
     branches = np.einsum("jk,kab->jab", w, ops)
     probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d

@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from .channels import KrausChannel, kraus_channel, preset
-from .erasure import ErasureReport
 from .errors import DimensionMismatch, ErasureKitError
 from .optimizer import OptimizationResult, RandomUnitaryVerdict
 from .probes import Ensemble, ProbeMeasurement, ensemble, probe_measurement
@@ -53,18 +52,10 @@ def channel_from_dict(data: dict) -> KrausChannel:
     return ch
 
 
-def ensemble_to_dict(ens: Ensemble) -> dict:
-    return {"members": [encode_matrix(m) for m in ens.members]}
-
-
 def ensemble_from_dict(data: dict) -> Ensemble:
     if "members" not in data:
         raise DimensionMismatch('ensemble JSON needs a "members" list')
     return ensemble([decode_matrix(m) for m in data["members"]])
-
-
-def measurement_to_dict(meas: ProbeMeasurement) -> dict:
-    return {"mixing": encode_matrix(meas.mixing)}
 
 
 def measurement_from_dict(data: dict) -> ProbeMeasurement:
@@ -77,14 +68,6 @@ def density_from_dict(data: dict) -> np.ndarray:
     if "matrix" not in data:
         raise DimensionMismatch('state JSON needs a "matrix"')
     return decode_matrix(data["matrix"])
-
-
-def density_to_dict(rho) -> dict:
-    return {"matrix": encode_matrix(rho)}
-
-
-def report_to_dict(report: ErasureReport) -> dict:
-    return report.to_dict()
 
 
 def result_to_dict(result: OptimizationResult) -> dict:

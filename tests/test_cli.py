@@ -299,3 +299,19 @@ class TestOptimize:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    def test_unconverged_run_warns_on_stderr_only(self, tmp_path, capsys):
+        out = tmp_path / "opt.json"
+        args = ["optimize", "--preset", "random", "--dim", "2", "--kraus", "3",
+                "--restarts", "2", "--seed", "11", "--out", str(out)]
+        assert main(args + ["--iters", "2"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(out.read_text())["result"]["converged"] is False
+        assert captured.out.startswith(f"wrote {out} ") and captured.out.count("\n") == 1
+        warning = captured.err.splitlines()
+        assert len(warning) == 1
+        assert "--iters 2" in warning[0] and "--tol" in warning[0]
+
+        assert main(args) == 0
+        assert json.loads(out.read_text())["result"]["converged"] is True
+        assert capsys.readouterr().err == ""

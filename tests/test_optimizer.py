@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from erasurekit import (
     assisted_fidelity,
     choi_distance,
     detect_random_unitary,
+    haar_isometry,
     haar_unitary,
     kraus_channel,
     optimize_erasure,
@@ -16,6 +19,7 @@ from erasurekit import (
 )
 from erasurekit.channels import PAULI_Z
 from erasurekit.errors import BadOutcomeCount
+from erasurekit.optimizer import _ascend, _mm_steps, _polish
 
 MIXED = np.eye(2, dtype=complex) / 2
 
@@ -195,9 +199,176 @@ class TestDetectRandomUnitary:
         verdict = detect_random_unitary(ch, seed=6, result=result)
         assert verdict.is_random_unitary
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("dephasing", {"p": 0.25}), ("random", {"dim": 2, "kraus": 2, "seed": 3})],
+    )
+    def test_result_with_extra_outcomes_is_not_reused(self, name, params):
+        ch = preset(name, **params)
+        result = optimize_erasure(ch, MIXED, 3, seed=6)
+        assert result.best_mixing.outcomes == 3
+        reused = detect_random_unitary(ch, seed=6, result=result)
+        fresh = detect_random_unitary(ch, seed=6)
+        assert reused.is_random_unitary == fresh.is_random_unitary
+        assert reused.residual == fresh.residual
+        if fresh.witness is None:
+            assert reused.witness is None
+        else:
+            assert len(reused.witness) == len(fresh.witness)
+            for (p, u), (q, v) in zip(reused.witness, fresh.witness):
+                assert p == q and np.array_equal(u, v)
+
 
 class TestProbeMeasurementRoundTrip:
     def test_best_mixing_is_valid_measurement(self):
         result = optimize_erasure(preset("random", dim=2, kraus=3, seed=21), seed=0)
         again = probe_measurement(result.best_mixing.mixing)
         assert again.outcomes == 3
+
+
+# Reference ascent with three SVDs per step: F is evaluated by a separate
+# values-only SVD instead of being read from the step's branch SVD.
+def _reference_objective(ops, rho, w):
+    branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
+    t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=1)
+    return float((t**2).sum())
+
+
+def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
+    ops_rho = ops @ rho
+    value = _reference_objective(ops, rho, w)
+    trace.append((restart, 0, value))
+    converged = False
+    for it in range(1, max_iters + 1):
+        branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
+        x, s, yh = np.linalg.svd(branches_rho)
+        t = s.sum(axis=1)
+        v = x @ yh
+        g = t[:, None] * np.einsum("jab,kab->jk", v.conj(), ops_rho)
+        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
+        w = (gx @ gyh).conj()
+        new_value = _reference_objective(ops, rho, w)
+        trace.append((restart, it, new_value))
+        if abs(new_value - value) < tol:
+            value = new_value
+            converged = True
+            break
+        value = new_value
+    return w, value, converged
+
+
+def _reference_polish(ops, rho, w, iters):
+    value = _reference_objective(ops, rho, w)
+    for _ in range(iters):
+        w2, v2, _ = _reference_ascend(ops, rho, w, 1, 0.0, -1, [])
+        if not v2 > value:
+            break
+        w, value = w2, v2
+    return w, value
+
+
+def _seeded_channels(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        kk = int(rng.integers(2, min(d * d, 8) + 1))
+        yield preset("random", dim=d, kraus=kk, seed=rng)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def _assert_same_rows(trace, reference):
+    assert len(trace) == len(reference)
+    for (r, i, v), (r0, i0, v0) in zip(trace, reference):
+        assert (r, i) == (r0, i0)
+        assert abs(v - v0) <= 1e-14
+
+
+class TestFusedKernel:
+    def test_trajectory_matches_reference(self, monkeypatch):
+        # tol = 0 never stops a restart early, so both paths take the same steps
+        for trial, ch in enumerate(_seeded_channels(6, 30)):
+            kwargs = dict(restarts=4, max_iters=60, tol=0.0, seed=trial)
+            new = optimize_erasure(ch, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr("erasurekit.optimizer._ascend", _reference_ascend)
+                old = optimize_erasure(ch, **kwargs)
+            assert new.converged == old.converged
+            assert np.array_equal(new.best_mixing.mixing, old.best_mixing.mixing)
+            assert abs(new.best_value - old.best_value) <= 1e-14
+            _assert_same_rows(new.trace, old.trace)
+
+    def test_stop_matches_reference_off_the_tolerance_edge(self):
+        # The two paths read F from different SVD drivers, so a step whose change
+        # lies within float noise of tol may stop one of them a step earlier.
+        # Everywhere else the stop, the flag and the final mixing are identical.
+        tol = 1e-12
+        for trial, ch in enumerate(_seeded_channels(6, 30)):
+            ops = np.stack(ch.operators)
+            rho = np.eye(ch.dim, dtype=complex) / ch.dim
+            kk = ch.kraus_count
+            for restart in range(4):
+                w0 = haar_isometry(kk, kk, np.random.default_rng([trial, restart]))
+                trace, reference = [], []
+                w, _, converged = _ascend(ops, rho, w0, 500, tol, restart, trace)
+                w_ref, _, converged_ref = _reference_ascend(
+                    ops, rho, w0, 500, tol, restart, reference
+                )
+                n = min(len(trace), len(reference))
+                _assert_same_rows(trace[:n], reference[:n])
+                if len(trace) == len(reference):
+                    assert converged == converged_ref
+                    assert np.array_equal(w, w_ref)
+                else:
+                    longer = max(trace, reference, key=len)
+                    assert abs(abs(longer[n - 1][2] - longer[n - 2][2]) - tol) <= 1e-14
+
+    def test_polish_stops_on_the_reference_trajectory(self):
+        # The polish stops at the first step that does not raise F. Where the gains
+        # have shrunk to float noise the two paths may stop at different steps, but
+        # both stop on the same trajectory and at values within noise of each other.
+        for trial, ch in enumerate(_seeded_channels(6, 31)):
+            ops = np.stack(ch.operators)
+            rho = np.eye(ch.dim, dtype=complex) / ch.dim
+            start = optimize_erasure(ch, restarts=2, max_iters=5, seed=trial).best_mixing.mixing
+            w, value = _polish(ops, rho, start, 300)
+            w_ref, value_ref = _reference_polish(ops, rho, start, 300)
+            assert abs(value - value_ref) <= 1e-14
+            trajectory = [p for p, _ in itertools.islice(_mm_steps(ops, rho, start), 301)]
+            assert any(np.array_equal(w, p) for p in trajectory)
+            assert any(np.array_equal(w_ref, p) for p in trajectory)
+
+    def test_two_svds_per_ascent_step(self, svd_calls):
+        ch = preset("random", dim=3, kraus=5, seed=32)
+        ops = np.stack(ch.operators)
+        rho = np.eye(3, dtype=complex) / 3
+        trace = []
+        _ascend(ops, rho, np.eye(5, dtype=complex), 40, 0.0, 0, trace)
+        assert len(svd_calls) == 1 + 2 * (len(trace) - 1)
+
+        svd_calls.clear()
+        restarts = 4
+        result = optimize_erasure(ch, restarts=restarts, max_iters=40, seed=1)
+        steps = len(result.trace) - restarts
+        # + 1: building the perturbed-identity start of restart 1 takes one SVD
+        assert len(svd_calls) <= 2 * steps + restarts + 1
+
+    def test_two_svds_per_polish_step(self, svd_calls):
+        ch = preset("random", dim=3, kraus=5, seed=33)
+        result = optimize_erasure(ch, restarts=2, max_iters=2, seed=1)
+        svd_calls.clear()
+        polish_iters = 6
+        verdict = detect_random_unitary(ch, result=result, polish_iters=polish_iters)
+        assert not verdict.is_random_unitary
+        assert len(svd_calls) <= 1 + 2 * polish_iters
