@@ -33,6 +33,18 @@ ZERO_OPERATOR_NORM = 1e-12
 
 COMPLETENESS_ATOL = 1e-9
 
+# Largest complex array a request may build, in entries (256 MiB): the random
+# preset's (d K) x d isometry, or the optimizer's m x K mixings and m x d x d
+# branches. Sizes are checked in integer arithmetic before anything is allocated.
+_MAX_ENTRIES = 2**24
+
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > _MAX_ENTRIES:
+        raise ParamOutOfRange(
+            f"{what} needs {entries} complex entries, above the cap {_MAX_ENTRIES}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -222,6 +234,7 @@ def preset(name: str, **params) -> KrausChannel:
         d = int(p["dim"])
         if d < 1:
             raise ParamOutOfRange(f"dim must be >= 1, got {d}")
+        _check_entries(d * d, f"identity(dim={d})")
         return kraus_channel([np.eye(d, dtype=complex)])
     if name == "dephasing":
         p = _check_unit_interval("p", take({"p": 0.5})["p"])
@@ -251,5 +264,6 @@ def preset(name: str, **params) -> KrausChannel:
     d, kk = int(p["dim"]), int(p["kraus"])
     if d < 1 or kk < 1:
         raise ParamOutOfRange(f"random preset needs dim >= 1 and kraus >= 1, got {d}, {kk}")
+    _check_entries(d * d * kk, f"random(dim={d}, kraus={kk})")
     v = numerics.haar_isometry(d * kk, d, p["seed"])
     return kraus_channel([v[k * d : (k + 1) * d, :] for k in range(kk)], drop_zero=False)

@@ -9,9 +9,7 @@ inequality slack below -1e-9).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,14 +55,6 @@ VERIFY_COLUMNS = (
     "slack_fidelity_trace,slack_measurement_l1,slack_pinsker,slack_total,"
     "slack_converse,entropy_lower_slack,entropy_upper_slack,worst_slack"
 )
-
-
-def _threads() -> int:
-    raw = os.environ.get("ERASUREKIT_THREADS", "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
@@ -257,16 +247,7 @@ def cmd_verify(args) -> int:
     if not dims or any(d < 2 for d in dims):
         print("error: --dims needs integers >= 2", file=sys.stderr)
         return EXIT_USAGE
-
-    def worker(t: int) -> dict:
-        return _verify_trial(args.seed, t, dims)
-
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, range(args.trials)))
-    else:
-        rows = [worker(t) for t in range(args.trials)]
+    rows = [_verify_trial(args.seed, t, dims) for t in range(args.trials)]
 
     config = {
         "command": "verify",
@@ -381,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--state", default="mixed", help='"mixed" or a state JSON file')
     optimize.add_argument("--outcomes", type=int, default=0, help="0 = Kraus count")
     optimize.add_argument("--restarts", type=int, default=32)
-    optimize.add_argument("--iters", type=int, default=500)
+    optimize.add_argument("--iters", type=int, default=500, help="MM evaluations per restart")
     optimize.add_argument("--tol", type=float, default=1e-12)
     optimize.add_argument("--oracle", type=int, default=0, help="Haar samples for the oracle (0 = off)")
     optimize.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,7 @@ from erasurekit.serialize import (
     ensemble_from_dict,
     measurement_from_dict,
 )
-from erasurekit import hadamard_measurement, preset, random_ensemble
+from erasurekit import hadamard_measurement, numerics, preset, random_ensemble
 
 
 class TestSerialization:
@@ -237,16 +237,6 @@ class TestVerify:
         assert summary["worst_slack"] >= -1e-9
         assert len(out.read_text().splitlines()) == 2 + 1000
 
-    def test_thread_cap_preserves_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["verify", "--trials", "8", "--seed", "3", "--out", str(a)]) == 0
-        monkeypatch.setenv("ERASUREKIT_THREADS", "4")
-        assert main(["verify", "--trials", "8", "--seed", "3", "--out", str(b)]) == 0
-        content_a, content_b = a.read_bytes(), b.read_bytes()
-        assert content_a.replace(str(a).encode(), b"OUT") == content_b.replace(
-            str(b).encode(), b"OUT"
-        )
-
 
 class TestOptimize:
     def test_dephasing_preset(self, tmp_path):
@@ -315,3 +305,28 @@ class TestOptimize:
         assert main(args) == 0
         assert json.loads(out.read_text())["result"]["converged"] is True
         assert capsys.readouterr().err == ""
+
+
+class TestSizeCaps:
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(numerics, "ginibre", refuse)
+        monkeypatch.setattr("erasurekit.optimizer._identity_start", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--preset", "random", "--dim", "1000", "--kraus", "1000"],
+            ["--preset", "identity", "--dim", "100000"],
+            ["--preset", "eraser_cnot", "--outcomes", "100000000"],
+            ["--preset", "depolarizing", "--outcomes", "10000000"],
+        ],
+    )
+    def test_oversized_request_fails_fast(self, tmp_path, capsys, argv):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", *argv, "--out", str(out)]) == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+        assert not out.exists()
