@@ -39,6 +39,19 @@ COMPLETENESS_ATOL = 1e-9
 _MAX_ENTRIES = 2**24
 
 
+# Every preset name, mapped to the parameter the CLI's --param sets, or None
+# when --param does not apply (identity and random take --dim/--kraus).
+PRESETS = {
+    "identity": None,
+    "dephasing": "p",
+    "depolarizing": "p",
+    "amplitude_damping": "gamma",
+    "eraser_cnot": None,
+    "partial_teleportation": "lam0",
+    "random": None,
+}
+
+
 def _check_entries(entries: int, what: str) -> None:
     if entries > _MAX_ENTRIES:
         raise ParamOutOfRange(
@@ -88,7 +101,8 @@ def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
 
 def validate(channel: KrausChannel) -> None:
     """Raise NotTracePreserving unless sum_k E_k^dag E_k = I within 1e-9."""
-    total = sum(numerics.dagger(e) @ e for e in channel.operators)
+    ops = np.stack(channel.operators)
+    total = np.einsum("kba,kbc->ac", ops.conj(), ops)
     deviation = float(np.abs(total - np.eye(channel.dim)).max())
     if deviation > COMPLETENESS_ATOL:
         raise NotTracePreserving(deviation)
@@ -209,17 +223,8 @@ def preset(name: str, **params) -> KrausChannel:
     random(dim=2, kraus=2, seed=0)
         Seeded Ginibre blocks orthonormalized into an isometry, then split.
     """
-    known = {
-        "identity",
-        "dephasing",
-        "depolarizing",
-        "amplitude_damping",
-        "eraser_cnot",
-        "partial_teleportation",
-        "random",
-    }
-    if name not in known:
-        raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(known)}")
+    if name not in PRESETS:
+        raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
 
     def take(allowed: dict):
         extra = set(params) - set(allowed)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel, preset, validate
+from .channels import PRESETS, KrausChannel, preset, validate
 from .erasure import SLACK_FLOOR, verify_converse, verify_direct
 from .errors import ErasureKitError, ParamOutOfRange
 from .optimizer import detect_random_unitary, optimize_erasure, sample_oracle
@@ -43,13 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
-PRESET_PARAM = {
-    "dephasing": "p",
-    "depolarizing": "p",
-    "amplitude_damping": "gamma",
-    "partial_teleportation": "lam0",
-}
-
 VERIFY_COLUMNS = (
     "trial,d,kraus,members,ic_members,f_e,f_ea,mutual_info,beta,gamma,"
     "slack_fidelity_trace,slack_measurement_l1,slack_pinsker,slack_total,"
@@ -60,21 +53,7 @@ VERIFY_COLUMNS = (
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--channel", metavar="FILE", help="channel JSON file")
-    group.add_argument(
-        "--preset",
-        choices=sorted(
-            {
-                "identity",
-                "dephasing",
-                "depolarizing",
-                "amplitude_damping",
-                "eraser_cnot",
-                "partial_teleportation",
-                "random",
-            }
-        ),
-        help="named channel construction",
-    )
+    group.add_argument("--preset", choices=sorted(PRESETS), help="named channel construction")
     sub.add_argument("--param", type=float, default=None, help="preset parameter")
     sub.add_argument("--dim", type=int, default=2, help="dimension for identity/random presets")
     sub.add_argument("--kraus", type=int, default=2, help="Kraus count for the random preset")
@@ -87,8 +66,8 @@ def _resolve_channel(args) -> tuple[KrausChannel, dict]:
     else:
         name = args.preset
         params: dict = {}
-        if name in PRESET_PARAM:
-            params[PRESET_PARAM[name]] = args.param if args.param is not None else 0.5
+        if PRESETS[name] is not None:
+            params[PRESETS[name]] = args.param if args.param is not None else 0.5
         elif args.param is not None:
             raise ParamOutOfRange(f"preset {name!r} takes no --param")
         if name == "identity":

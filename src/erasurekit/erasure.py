@@ -41,7 +41,7 @@ def _resolve_meas(channel: KrausChannel, meas: ProbeMeasurement | None) -> Probe
     return canonical_measurement(channel.kraus_count) if meas is None else meas
 
 
-def _refined(channel: KrausChannel, meas: ProbeMeasurement | None) -> list[np.ndarray]:
+def _refined(channel: KrausChannel, meas: ProbeMeasurement | None) -> np.ndarray:
     return refine(channel, _resolve_meas(channel, meas))
 
 
@@ -55,9 +55,13 @@ def _check_state(channel: KrausChannel, rho) -> np.ndarray:
 
 
 def entanglement_fidelity(channel: KrausChannel, rho) -> float:
-    """F_e(rho) = sum_k |Tr rho E_k|^2, independent of the Kraus decomposition."""
+    """F_e(rho) = sum_k |Tr rho E_k|^2, independent of the Kraus decomposition.
+
+    Every Tr(rho E_k) comes from one contraction over the stacked operators.
+    """
     rho = _check_state(channel, rho)
-    return float(sum(abs(np.trace(rho @ e)) ** 2 for e in channel.operators))
+    overlaps = np.einsum("ab,kba->k", rho, np.stack(channel.operators))
+    return float((np.abs(overlaps) ** 2).sum())
 
 
 def entanglement_fidelity_purification(channel: KrausChannel, rho) -> float:
@@ -88,12 +92,23 @@ def assisted_fidelity(
 
 
 def _branches(channel, rho, meas):
-    """Refined branches with their outcome probabilities (clamped at zero)."""
+    """Stacked refined branches with their outcome probabilities (clamped at zero)."""
     refined = _refined(channel, meas)
-    probs = np.array(
-        [max(np.trace(e @ rho @ numerics.dagger(e)).real, 0.0) for e in refined]
-    )
-    return refined, probs
+    probs = np.einsum("jab,bc,jac->j", refined, rho, refined.conj()).real
+    return refined, np.maximum(probs, 0.0)
+
+
+def _conditional(rho, refined, probs):
+    """Kept outcomes and their stacked conditional states.
+
+    K_j = rho^(1/2) E'_j^dag E'_j rho^(1/2) / p(j) for every outcome with
+    p(j) >= OUTCOME_FLOOR; the others have no conditional state.
+    """
+    kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
+    sq = numerics.psd_power(rho, 0.5)
+    e = refined[kept]
+    states = numerics.hermitize(sq @ (numerics.dagger(e) @ e) @ sq)
+    return kept, states / probs[kept, None, None]
 
 
 def conditional_states(
@@ -107,14 +122,8 @@ def conditional_states(
     """
     rho = _check_state(channel, rho)
     refined, probs = _branches(channel, rho, meas)
-    sq = numerics.psd_power(rho, 0.5)
-    out = []
-    for e, p in zip(refined, probs):
-        if p < OUTCOME_FLOOR:
-            continue
-        k = numerics.hermitize(sq @ (numerics.dagger(e) @ e) @ sq) / p
-        out.append((float(p), k))
-    return out
+    kept, states = _conditional(rho, refined, probs)
+    return [(float(probs[j]), k) for j, k in zip(kept, states)]
 
 
 def build_correction(
@@ -191,28 +200,23 @@ class ErasureReport:
 
 
 def _chain_quantities(channel, rho, ens, meas):
-    """Shared plumbing for both verification chains."""
+    """Shared plumbing for both verification chains.
+
+    Returns the kept outcomes' probabilities, conditional-state trace
+    distances and classical l1 distances as aligned arrays, then F_e, F_ea
+    and the mutual information.
+    """
     refined, probs = _branches(channel, rho, meas)
     joint = joint_distribution(channel, ens, meas)
-    weights = ens.weights
+    kept, states = _conditional(rho, refined, probs)
+    trace_dists = np.array([numerics.trace_norm(rho - k) for k in states])
     p_out = joint.sum(axis=0)
-    sq = numerics.psd_power(rho, 0.5)
-
-    kept = [j for j in range(len(refined)) if probs[j] >= OUTCOME_FLOOR]
-    cond_states = {
-        j: numerics.hermitize(sq @ (numerics.dagger(refined[j]) @ refined[j]) @ sq)
-        / probs[j]
-        for j in kept
-    }
-    trace_dists = {j: numerics.trace_norm(rho - cond_states[j]) for j in kept}
-    classical_l1 = {
-        j: float(np.abs(weights - joint[:, j] / p_out[j]).sum()) for j in kept
-    }
+    classical_l1 = np.abs(ens.weights[:, None] - joint[:, kept] / p_out[kept]).sum(axis=0)
 
     f_e = entanglement_fidelity(channel, rho)
-    f_ea = float(sum(numerics.trace_norm(e @ rho) ** 2 for e in refined))
+    f_ea = float(sum(numerics.trace_norm(b) ** 2 for b in refined @ rho))
     info = mutual_information(joint)
-    return probs, kept, trace_dists, classical_l1, f_e, f_ea, info
+    return probs[kept], trace_dists, classical_l1, f_e, f_ea, info
 
 
 def verify_direct(
@@ -236,12 +240,12 @@ def verify_direct(
         raise EnsembleMismatch(
             f"ensemble average deviates from rho by {mismatch:.3e} (tolerance 1e-09)"
         )
-    probs, kept, trace_dists, classical_l1, f_e, f_ea, info = _chain_quantities(
+    probs, trace_dists, classical_l1, f_e, f_ea, info = _chain_quantities(
         channel, rho, ens, meas
     )
     beta = ens.beta
-    sum_trace_sq = float(sum(probs[j] * trace_dists[j] ** 2 for j in kept))
-    sum_l1_sq = float(sum(probs[j] * classical_l1[j] ** 2 for j in kept))
+    sum_trace_sq = float((probs * trace_dists**2).sum())
+    sum_l1_sq = float((probs * classical_l1**2).sum())
     a1 = 1 - sum_trace_sq / 4
     a2 = 1 - sum_l1_sq / 4
     a3 = 1 - beta * info / 4
@@ -284,11 +288,11 @@ def verify_converse(
     ic = ic_ensemble(rho, members, seed)
     report = verify_direct(channel, rho, ic.base, meas)
 
-    probs, kept, trace_dists, classical_l1, _, f_ea, info = _chain_quantities(
+    probs, trace_dists, classical_l1, _, f_ea, info = _chain_quantities(
         channel, rho, ic.base, meas
     )
-    b1 = 1 - float(sum(probs[j] * trace_dists[j] for j in kept))
-    b2 = 1 - ic.gamma * float(sum(probs[j] * classical_l1[j] for j in kept))
+    b1 = 1 - float((probs * trace_dists).sum())
+    b2 = 1 - ic.gamma * float((probs * classical_l1).sum())
     b3 = 1 - np.sqrt(2) * ic.gamma * np.sqrt(info)
     slack_converse = float(min(f_ea - b1, b1 - b2, b2 - b3))
     return ErasureReport(

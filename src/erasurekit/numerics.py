@@ -42,12 +42,16 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (last two axes)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average away the anti-Hermitian float noise of a nominally Hermitian matrix."""
-    return (a + a.conj().T) / 2
+    """Average away the anti-Hermitian float noise of a nominally Hermitian matrix.
+
+    Works matrix by matrix on a stack (the last two axes).
+    """
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def _rng(seed) -> np.random.Generator:

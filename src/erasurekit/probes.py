@@ -10,11 +10,12 @@ up to a per-row phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel
+from .channels import KrausChannel, _check_entries
 from .errors import (
     BetaZero,
     DimensionMismatch,
@@ -90,35 +91,47 @@ def measurements_equal(a: ProbeMeasurement, b: ProbeMeasurement, tol: float = 1e
     return True
 
 
-def refine(channel: KrausChannel, meas: ProbeMeasurement) -> list[np.ndarray]:
-    """Pure-instrument branches E'_j = sum_k W[j, k] E_k of the refined channel."""
+def refine(channel: KrausChannel, meas: ProbeMeasurement) -> np.ndarray:
+    """Pure-instrument branches E'_j = sum_k W[j, k] E_k, stacked as an m x d x d array."""
     if meas.kraus_count != channel.kraus_count:
         raise DimensionMismatch(
             f"measurement mixes {meas.kraus_count} Kraus indices, channel has "
             f"{channel.kraus_count}"
         )
-    ops = np.stack(channel.operators)
-    refined = np.einsum("jk,kab->jab", meas.mixing, ops)
-    return [refined[j] for j in range(meas.outcomes)]
+    return np.einsum("jk,kab->jab", meas.mixing, np.stack(channel.operators))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Decomposition {rho_i} of a state: each member PSD, sum_i rho_i = rho."""
+    """Decomposition {rho_i} of a state: each member PSD, sum_i rho_i = rho.
 
-    members: tuple[np.ndarray, ...]
+    ``stack`` holds the members as one read-only n x d x d array. ``weights``
+    and ``average`` are computed from it once, on first use, and are
+    read-only too, so no caller can change what later reports see.
+    """
+
+    stack: np.ndarray
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.stack.shape[0]
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([np.trace(m).real for m in self.members])
+        return _read_only(np.trace(self.stack, axis1=1, axis2=2).real)
 
-    @property
+    @cached_property
     def average(self) -> np.ndarray:
-        return numerics.hermitize(sum(self.members))
+        return _read_only(numerics.hermitize(self.stack.sum(axis=0)))
 
     @property
     def beta(self) -> float:
@@ -126,7 +139,12 @@ class Ensemble:
 
 
 def ensemble(members) -> Ensemble:
-    """Validate and build an ensemble: PSD members, positive weights, unit total trace."""
+    """Validate and build an ensemble: PSD members, positive weights, unit total trace.
+
+    Hermiticity, the smallest eigenvalue and the trace of every member are
+    checked over the stacked members at once; a failure names the first
+    failing member with its own figures.
+    """
     mats = [numerics.as_matrix(m) for m in members]
     if not mats:
         raise DimensionMismatch("an ensemble needs at least one member")
@@ -134,19 +152,34 @@ def ensemble(members) -> Ensemble:
     for m in mats:
         if m.shape != (d, d):
             raise DimensionMismatch(f"members must all be {d} x {d}, got {m.shape}")
-        herm_dev = float(np.abs(m - numerics.dagger(m)).max())
-        low = float(np.linalg.eigvalsh(numerics.hermitize(m)).min())
-        if herm_dev > 1e-10 or low < -1e-10:
-            raise NotPSD(
-                f"ensemble member not PSD within 1e-10 (hermiticity {herm_dev:.3e}, "
-                f"min eigenvalue {low:.3e})"
-            )
-    total = sum(np.trace(m).real for m in mats)
+    stack = np.stack(mats)
+    herm_dev = np.abs(stack - numerics.dagger(stack)).max(axis=(1, 2))
+    low = np.linalg.eigvalsh(numerics.hermitize(stack)).min(axis=1)
+    bad = np.flatnonzero((herm_dev > 1e-10) | (low < -1e-10))
+    if bad.size:
+        i = bad[0]
+        raise NotPSD(
+            f"ensemble member {i} not PSD within 1e-10 (hermiticity {herm_dev[i]:.3e}, "
+            f"min eigenvalue {low[i]:.3e})"
+        )
+    ens = Ensemble(stack=_read_only(stack))
+    total = float(ens.weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise NotDensity(f"ensemble traces sum to {total:.12g}, expected 1 within 1e-09")
-    if min(np.trace(m).real for m in mats) <= 0:
+    if ens.beta <= 0:
         raise BetaZero("every ensemble weight must be strictly positive")
-    return Ensemble(members=tuple(m.copy() for m in mats))
+    return ens
+
+
+def _complex_normal(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``count`` complex Gaussian arrays of ``shape`` (real part + 1j * imaginary part).
+
+    One call to the generator, drawing in the order of ``count`` sequential
+    pairs of ``rng.normal(size=shape)`` calls, so seeded draws do not depend
+    on the stacking.
+    """
+    x = rng.normal(size=(count, 2, *shape))
+    return x[:, 0] + 1j * x[:, 1]
 
 
 def random_ensemble(rho, members: int, seed, *, floor: float = 0.01) -> Ensemble:
@@ -154,39 +187,38 @@ def random_ensemble(rho, members: int, seed, *, floor: float = 0.01) -> Ensemble
 
     Ginibre-random PSD pieces are conjugated into a resolution of the support
     of rho, then blended with the uniform split by ``floor`` so no weight can
-    collapse to zero.
+    collapse to zero. The pieces are drawn and conjugated as one stack; the
+    request size is checked before anything is drawn.
     """
     rho = numerics.ensure_density(rho)
     if members < 1:
         raise DimensionMismatch(f"need at least one member, got {members}")
-    rng = numerics._rng(seed)
     d = rho.shape[0]
-    pieces = []
-    for _ in range(members):
-        g = numerics.ginibre(d, d, rng)
-        pieces.append(g @ numerics.dagger(g))
-    s_inv_half = numerics.psd_power(sum(pieces), -0.5)
+    _check_entries(members * d * d, f"random_ensemble(members={members}) in dimension {d}")
+    rng = numerics._rng(seed)
+    g = _complex_normal(rng, members, (d, d)) / np.sqrt(2)
+    pieces = g @ numerics.dagger(g)
+    s_inv_half = numerics.psd_power(pieces.sum(axis=0), -0.5)
     sq = numerics.psd_power(rho, 0.5)
-    mats = [sq @ (s_inv_half @ g @ s_inv_half) @ sq for g in pieces]
-    mats = [
-        numerics.hermitize((1 - floor) * m + floor * rho / members) for m in mats
-    ]
-    return ensemble(mats)
+    mats = sq @ (s_inv_half @ pieces @ s_inv_half) @ sq
+    return ensemble(numerics.hermitize((1 - floor) * mats + floor * rho / members))
 
 
 def joint_distribution(channel: KrausChannel, ens: Ensemble, meas: ProbeMeasurement) -> np.ndarray:
     """Joint outcome matrix p(i, j) = Tr[rho_i E'_j^dag E'_j].
 
     Rows are ensemble members, columns probe outcomes; marginals are the
-    ensemble weights and the outcome probabilities.
+    ensemble weights and the outcome probabilities. One stacked array of
+    effects E'_j^dag E'_j is contracted with the stacked members; entries
+    below -1e-9 are rejected and the rest clipped at zero.
     """
-    if ens.members[0].shape != (channel.dim, channel.dim):
+    if ens.stack.shape[1:] != (channel.dim, channel.dim):
         raise DimensionMismatch(
-            f"ensemble members are {ens.members[0].shape}, channel dimension is {channel.dim}"
+            f"ensemble members are {ens.stack.shape[1:]}, channel dimension is {channel.dim}"
         )
     refined = refine(channel, meas)
-    effects = [numerics.dagger(e) @ e for e in refined]
-    p = np.array([[np.trace(m @ f).real for f in effects] for m in ens.members])
+    effects = numerics.dagger(refined) @ refined
+    p = np.einsum("iab,jba->ij", ens.stack, effects).real
     if p.min(initial=0.0) < -1e-9:
         raise NotPSD(f"joint probability {p.min():.3e} is negative beyond tolerance")
     return np.clip(p, 0.0, None)
@@ -237,10 +269,12 @@ def ic_ensemble(rho, members: int, seed, *, cutoff: float = numerics.RANK_CUTOFF
     reconstruction identity on the support.
 
     Raises InsufficientFrame when members < rank(rho)^2 or the drawn frame
-    fails to span (redraw with a new seed in that case).
+    fails to span (redraw with a new seed in that case), and ParamOutOfRange
+    before any draw when the request is too large. The frame vectors are
+    drawn in one call and the gram, effects, duals and members are built as
+    stacks.
     """
     rho = numerics.ensure_density(rho)
-    rng = numerics._rng(seed)
     w, v = numerics.psd_eigh(rho)
     keep = w > cutoff
     r = int(keep.sum())
@@ -251,30 +285,33 @@ def ic_ensemble(rho, members: int, seed, *, cutoff: float = numerics.RANK_CUTOFF
         raise InsufficientFrame(
             f"need at least rank(rho)^2 = {r * r} members, got {members}"
         )
-    vecs = []
-    for _ in range(members):
-        g = rng.normal(size=r) + 1j * rng.normal(size=r)
-        vecs.append(g / np.linalg.norm(g))
-    gram = sum(np.outer(u, u.conj()) for u in vecs)
+    # members x d x d bounds the largest stacks built below (effects, duals,
+    # ensemble members); the frame's members x r^2 is no larger, since r <= d
+    d = rho.shape[0]
+    _check_entries(members * d * d, f"ic_ensemble(members={members}) in dimension {d}")
+    g = _complex_normal(numerics._rng(seed), members, (r,))
+    vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    outers = vecs[:, :, None] * vecs.conj()[:, None, :]
+    gram = outers.sum(axis=0)
     gw = np.linalg.eigvalsh(numerics.hermitize(gram))
     if float(gw.min()) <= cutoff * float(gw.max()):
         raise SingularAverage("frame vectors do not cover the support of rho")
     g_inv_half = numerics.psd_power(gram, -0.5, cutoff=cutoff * float(gw.max()))
-    effects_s = [g_inv_half @ np.outer(u, u.conj()) @ g_inv_half for u in vecs]
+    effects_s = g_inv_half @ outers @ g_inv_half
 
-    frame = np.stack([e.reshape(-1) for e in effects_s], axis=1)  # r^2 x members
+    frame = np.ascontiguousarray(effects_s.reshape(members, r * r).T)  # r^2 x members
     sing = np.linalg.svd(frame, compute_uv=False)
     if int((sing > sing[0] * 1e-10).sum()) < r * r:
         raise InsufficientFrame(
             f"frame rank {(sing > sing[0] * 1e-10).sum()} < rank(rho)^2 = {r * r}"
         )
     duals_flat = np.linalg.solve(frame @ numerics.dagger(frame), frame)
-    duals_s = [numerics.hermitize(duals_flat[:, i].reshape(r, r)) for i in range(members)]
+    duals_s = numerics.hermitize(duals_flat.T.reshape(members, r, r))
 
     sq = numerics.psd_power(rho, 0.5)
-    effects = [numerics.hermitize(basis @ e @ numerics.dagger(basis)) for e in effects_s]
-    duals = [basis @ dsup @ numerics.dagger(basis) for dsup in duals_s]
-    base = ensemble([numerics.hermitize(sq @ e @ sq) for e in effects])
+    effects = numerics.hermitize(basis @ effects_s @ numerics.dagger(basis))
+    duals = basis @ duals_s @ numerics.dagger(basis)
+    base = ensemble(numerics.hermitize(sq @ effects @ sq))
     gamma = max(numerics.trace_norm(dd) for dd in duals)
     return ICEnsemble(
         base=base,

@@ -14,7 +14,7 @@ from erasurekit import (
     random_density,
     validate,
 )
-from erasurekit.channels import PAULI_X, PAULI_Z
+from erasurekit.channels import PAULI_X, PAULI_Z, PRESETS
 from erasurekit.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -205,6 +205,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPreset):
             preset("nope")
+
+    def test_preset_table_drives_the_cli(self):
+        from erasurekit.cli import build_parser
+
+        for name, param in PRESETS.items():
+            validate(preset(name, **({} if param is None else {param: 0.25})))
+            args = build_parser().parse_args(["analyze", "--preset", name])
+            assert args.preset == name
 
     def test_param_out_of_range(self):
         with pytest.raises(ParamOutOfRange):

@@ -315,6 +315,8 @@ class TestSizeCaps:
 
         monkeypatch.setattr(numerics, "ginibre", refuse)
         monkeypatch.setattr("erasurekit.optimizer._identity_start", refuse)
+        # the one draw both random_ensemble and ic_ensemble make
+        monkeypatch.setattr("erasurekit.probes._complex_normal", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -328,5 +330,19 @@ class TestSizeCaps:
     def test_oversized_request_fails_fast(self, tmp_path, capsys, argv):
         out = tmp_path / "opt.json"
         assert main(["optimize", *argv, "--out", str(out)]) == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--members", "--ic-size"])
+    def test_oversized_ensemble_fails_fast(self, tmp_path, capsys, flag):
+        # a given ensemble file keeps the random ensemble (and its draw) out
+        # of the --ic-size case
+        ens_file = tmp_path / "ens.json"
+        halves = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
+        ens_file.write_text(json.dumps({"members": [encode_matrix(m) for m in halves]}))
+        source = [] if flag == "--members" else ["--ensemble", str(ens_file)]
+        out = tmp_path / "analyze.json"
+        argv = ["analyze", "--preset", "dephasing", *source, flag, str(10**9), "--out", str(out)]
+        assert main(argv) == 1
         assert "ParamOutOfRange" in capsys.readouterr().err
         assert not out.exists()
