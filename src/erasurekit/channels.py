@@ -10,6 +10,7 @@ map are different probe configurations even though they are channel-equal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class KrausChannel:
     def kraus_count(self) -> int:
         return len(self.operators)
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The operators as one read-only K x d x d array, built on first use."""
+        return numerics._read_only(np.stack(self.operators))
+
 
 @dataclass(frozen=True, eq=False)
 class DilationIsometry:
@@ -101,20 +107,26 @@ def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
 
 def validate(channel: KrausChannel) -> None:
     """Raise NotTracePreserving unless sum_k E_k^dag E_k = I within 1e-9."""
-    ops = np.stack(channel.operators)
+    ops = channel.stack
     total = np.einsum("kba,kbc->ac", ops.conj(), ops)
     deviation = float(np.abs(total - np.eye(channel.dim)).max())
     if deviation > COMPLETENESS_ATOL:
         raise NotTracePreserving(deviation)
 
 
-def apply(channel: KrausChannel, rho) -> np.ndarray:
-    """Channel action sum_k E_k rho E_k^dag on a density matrix."""
+def _check_state(channel: KrausChannel, rho) -> np.ndarray:
+    """Validate ``rho`` as a density matrix on the channel's input space."""
     rho = numerics.ensure_density(rho)
     if rho.shape != (channel.dim, channel.dim):
         raise DimensionMismatch(
             f"state is {rho.shape}, channel acts on dimension {channel.dim}"
         )
+    return rho
+
+
+def apply(channel: KrausChannel, rho) -> np.ndarray:
+    """Channel action sum_k E_k rho E_k^dag on a density matrix."""
+    rho = _check_state(channel, rho)
     out = np.zeros_like(rho)
     for e in channel.operators:
         out += e @ rho @ numerics.dagger(e)
@@ -138,12 +150,8 @@ def dilation(channel: KrausChannel) -> DilationIsometry:
 
 def complementary_apply(channel: KrausChannel, rho) -> np.ndarray:
     """Environment output state: entry (k, l) = Tr[E_l^dag E_k rho]."""
-    rho = numerics.ensure_density(rho)
-    if rho.shape != (channel.dim, channel.dim):
-        raise DimensionMismatch(
-            f"state is {rho.shape}, channel acts on dimension {channel.dim}"
-        )
-    ops = np.stack(channel.operators)
+    rho = _check_state(channel, rho)
+    ops = channel.stack
     env = np.einsum("kab,bc,lac->kl", ops, rho, ops.conj())
     return numerics.hermitize(env)
 

@@ -21,15 +21,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel, kraus_channel, validate
-from .errors import DimensionMismatch, EnsembleMismatch
+from .channels import KrausChannel, _check_state, kraus_channel, validate
+from .errors import EnsembleMismatch
 from .probes import (
     Ensemble,
     OUTCOME_FLOOR,
     ProbeMeasurement,
+    _check_members,
+    _joint,
     canonical_measurement,
     ic_ensemble,
-    joint_distribution,
     mutual_information,
     refine,
 )
@@ -45,22 +46,13 @@ def _refined(channel: KrausChannel, meas: ProbeMeasurement | None) -> np.ndarray
     return refine(channel, _resolve_meas(channel, meas))
 
 
-def _check_state(channel: KrausChannel, rho) -> np.ndarray:
-    rho = numerics.ensure_density(rho)
-    if rho.shape != (channel.dim, channel.dim):
-        raise DimensionMismatch(
-            f"state is {rho.shape}, channel acts on dimension {channel.dim}"
-        )
-    return rho
-
-
 def entanglement_fidelity(channel: KrausChannel, rho) -> float:
     """F_e(rho) = sum_k |Tr rho E_k|^2, independent of the Kraus decomposition.
 
     Every Tr(rho E_k) comes from one contraction over the stacked operators.
     """
     rho = _check_state(channel, rho)
-    overlaps = np.einsum("ab,kba->k", rho, np.stack(channel.operators))
+    overlaps = np.einsum("ab,kba->k", rho, channel.stack)
     return float((np.abs(overlaps) ** 2).sum())
 
 
@@ -207,7 +199,7 @@ def _chain_quantities(channel, rho, ens, meas):
     and the mutual information.
     """
     refined, probs = _branches(channel, rho, meas)
-    joint = joint_distribution(channel, ens, meas)
+    joint = _joint(ens.stack, refined)
     kept, states = _conditional(rho, refined, probs)
     trace_dists = np.array([numerics.trace_norm(rho - k) for k in states])
     p_out = joint.sum(axis=0)
@@ -235,6 +227,7 @@ def verify_direct(
     rho = _check_state(channel, rho)
     validate(channel)
     meas = _resolve_meas(channel, meas)
+    _check_members(channel, ens)
     mismatch = float(np.abs(ens.average - rho).max())
     if mismatch > 1e-9:
         raise EnsembleMismatch(

@@ -1,15 +1,31 @@
 """Dense complex matrix decompositions, distances, and entropy primitives.
 
-All functions operate on plain numpy arrays and are pure: no hidden state,
-randomness flows only through explicit seeds, and everything is safe to call
-from any number of threads. Entropic quantities use the natural logarithm
-(nats) throughout; the constants in the Pinsker-type bounds hold as written
-only in that convention.
+All functions operate on plain numpy arrays and are pure: randomness flows
+only through explicit seeds, and everything is safe to call from any number
+of threads. Entropic quantities use the natural logarithm (nats) throughout;
+the constants in the Pinsker-type bounds hold as written only in that
+convention.
+
+Two bounded caches sit under ``psd_eigh`` and ``trace_norm``, because one
+verify trial decomposes the same few matrices (the state above all) many
+times over. Each is an LRU (``functools.lru_cache``, which is thread-safe)
+keyed by the exact matrix: its shape, ``violation`` for ``psd_eigh``, and a
+16-byte BLAKE2b digest of its bytes, so an entry holds no copy of its input.
+Only an exact byte-for-byte repeat hits, errors are never cached, and a hit
+returns what the computation returns, so results do not depend on call
+history. ``psd_eigh`` hands out read-only arrays, since a hit shares them
+between callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+try:  # hashlib's own BLAKE2, without the OpenSSL load that importing hashlib costs
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without its builtin BLAKE2
+    from hashlib import blake2b
 
 import numpy as np
 
@@ -36,7 +52,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -91,15 +107,38 @@ def polar_unitary(a) -> np.ndarray:
     return polar_decompose(a)[0]
 
 
-def psd_eigh(p, *, violation: float = PSD_VIOLATION) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix with noise clamping.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    Rejects matrices that are not Hermitian within 1e-10 or have an eigenvalue
-    below ``-violation``; eigenvalues in the noise band are clamped to zero.
+
+class _Digest:
+    """Cache key of a matrix: its shape and a 16-byte digest of its bytes.
+
+    The matrix itself rides along only until the cached function takes it, so
+    a cache entry keeps the key alone, whatever the matrix size.
     """
-    p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {p.shape}")
+
+    __slots__ = ("key", "matrix")
+
+    def __init__(self, m: np.ndarray):
+        self.matrix = m
+        self.key = (m.shape, blake2b(m.tobytes(), digest_size=16).digest())
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def take(self) -> np.ndarray:
+        m, self.matrix = self.matrix, None
+        return m
+
+
+@lru_cache(maxsize=8)
+def _cached_psd_eigh(digest: _Digest, violation: float) -> tuple[np.ndarray, np.ndarray]:
+    p = digest.take()
     herm_dev = float(np.abs(p - dagger(p)).max(initial=0.0))
     if herm_dev > 1e-10:
         raise NotPSD(f"matrix is not Hermitian: max |P - P^dag| = {herm_dev:.3e}")
@@ -107,7 +146,21 @@ def psd_eigh(p, *, violation: float = PSD_VIOLATION) -> tuple[np.ndarray, np.nda
     low = float(w.min(initial=0.0))
     if low < -violation:
         raise NotPSD(f"negative eigenvalue {low:.3e} below tolerance -{violation:.0e}")
-    return np.clip(w, 0.0, None), v
+    return _read_only(np.clip(w, 0.0, None)), _read_only(v)
+
+
+def psd_eigh(p, *, violation: float = PSD_VIOLATION) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian PSD matrix with noise clamping.
+
+    Rejects matrices that are not Hermitian within 1e-10 or have an eigenvalue
+    below ``-violation``; eigenvalues in the noise band are clamped to zero.
+    The returned arrays are read-only: a repeat of the same matrix gets the
+    same arrays from the module's cache.
+    """
+    p = as_matrix(p)
+    if p.shape[0] != p.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got {p.shape}")
+    return _cached_psd_eigh(_Digest(p), violation)
 
 
 def psd_sqrt(p) -> np.ndarray:
@@ -134,10 +187,14 @@ def support_rank(p, *, cutoff: float = RANK_CUTOFF) -> int:
     return int((w > cutoff).sum())
 
 
+@lru_cache(maxsize=64)
+def _cached_trace_norm(digest: _Digest) -> float:
+    return float(np.linalg.svd(digest.take(), compute_uv=False).sum())
+
+
 def trace_norm(a) -> float:
     """Trace norm ||a||_1 = sum of singular values."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return _cached_trace_norm(_Digest(as_matrix(a)))
 
 
 def ensure_density(rho, *, trace_atol: float = 1e-9) -> np.ndarray:

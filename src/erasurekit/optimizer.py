@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel, _check_entries, kraus_channel, validate
+from .channels import KrausChannel, _check_entries, _check_state, kraus_channel, validate
 from .errors import BadOutcomeCount, ParamOutOfRange
 from .probes import (
     OUTCOME_FLOOR,
@@ -214,13 +214,13 @@ def optimize_erasure(
     results are deterministic and independent of any execution order.
     """
     validate(channel)
-    rho = numerics.ensure_density(rho) if rho is not None else _maximally_mixed(channel.dim)
+    rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
     kk = channel.kraus_count
     m = kk if outcomes is None else int(outcomes)
     if m < kk:
         raise BadOutcomeCount(f"need at least {kk} outcomes, got {m}")
     _check_entries(m * max(kk, channel.dim**2), f"{m} outcomes")
-    ops = np.stack(channel.operators)
+    ops = channel.stack
 
     trace: list[tuple[int, int, float]] = []
     best_w, best_value, best_converged = None, -np.inf, False
@@ -249,11 +249,11 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
     unitaries); deterministic for a fixed seed.
     """
     validate(channel)
-    rho = numerics.ensure_density(rho) if rho is not None else _maximally_mixed(channel.dim)
+    rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
     if samples < 1:
         raise ParamOutOfRange(f"need at least one sample, got {samples}")
     kk = channel.kraus_count
-    ops = np.stack(channel.operators)
+    ops = channel.stack
     ops_rho = ops @ rho
     rng = np.random.default_rng(seed)
     best = -np.inf
@@ -303,7 +303,7 @@ def detect_random_unitary(
     )
     if not reusable:
         result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
-    ops = np.stack(channel.operators)
+    ops = channel.stack
     w, best_value = _polish(ops, rho, result.best_mixing.mixing, polish_iters)
 
     branches = np.einsum("jk,kab->jab", w, ops)

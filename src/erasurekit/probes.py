@@ -98,12 +98,7 @@ def refine(channel: KrausChannel, meas: ProbeMeasurement) -> np.ndarray:
             f"measurement mixes {meas.kraus_count} Kraus indices, channel has "
             f"{channel.kraus_count}"
         )
-    return np.einsum("jk,kab->jab", meas.mixing, np.stack(channel.operators))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    return np.einsum("jk,kab->jab", meas.mixing, channel.stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +122,11 @@ class Ensemble:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _read_only(np.trace(self.stack, axis1=1, axis2=2).real)
+        return numerics._read_only(np.trace(self.stack, axis1=1, axis2=2).real)
 
     @cached_property
     def average(self) -> np.ndarray:
-        return _read_only(numerics.hermitize(self.stack.sum(axis=0)))
+        return numerics._read_only(numerics.hermitize(self.stack.sum(axis=0)))
 
     @property
     def beta(self) -> float:
@@ -162,7 +157,7 @@ def ensemble(members) -> Ensemble:
             f"ensemble member {i} not PSD within 1e-10 (hermiticity {herm_dev[i]:.3e}, "
             f"min eigenvalue {low[i]:.3e})"
         )
-    ens = Ensemble(stack=_read_only(stack))
+    ens = Ensemble(stack=numerics._read_only(stack))
     total = float(ens.weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise NotDensity(f"ensemble traces sum to {total:.12g}, expected 1 within 1e-09")
@@ -212,13 +207,21 @@ def joint_distribution(channel: KrausChannel, ens: Ensemble, meas: ProbeMeasurem
     effects E'_j^dag E'_j is contracted with the stacked members; entries
     below -1e-9 are rejected and the rest clipped at zero.
     """
+    _check_members(channel, ens)
+    return _joint(ens.stack, refine(channel, meas))
+
+
+def _check_members(channel: KrausChannel, ens: Ensemble) -> None:
     if ens.stack.shape[1:] != (channel.dim, channel.dim):
         raise DimensionMismatch(
             f"ensemble members are {ens.stack.shape[1:]}, channel dimension is {channel.dim}"
         )
-    refined = refine(channel, meas)
+
+
+def _joint(members: np.ndarray, refined: np.ndarray) -> np.ndarray:
+    """``joint_distribution`` on the member stack and the refined branches, unchecked."""
     effects = numerics.dagger(refined) @ refined
-    p = np.einsum("iab,jba->ij", ens.stack, effects).real
+    p = np.einsum("iab,jba->ij", members, effects).real
     if p.min(initial=0.0) < -1e-9:
         raise NotPSD(f"joint probability {p.min():.3e} is negative beyond tolerance")
     return np.clip(p, 0.0, None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import preset
+from .channels import _check_entries, preset
 from .erasure import assisted_fidelity
 from .errors import UnknownScenario
 from .optimizer import optimize_erasure
@@ -27,15 +27,22 @@ ERASER_COLUMNS = ("theta", "f_ea", "mutual_info")
 TELEPORT_COLUMNS = ("lambda0", "f_ea_canonical", "f_ea_optimized")
 
 
-def eraser_curve(points: int = ERASER_GRID, seed: int = 0, members: int = 4):
-    """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble."""
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced values, refused before allocation when too few or too many."""
     if points < 2:
         raise UnknownScenario(f"grid must have at least 2 points, got {points}")
+    _check_entries(points, f"a {points}-point grid")
+    return np.linspace(start, stop, points)
+
+
+def eraser_curve(points: int = ERASER_GRID, seed: int = 0, members: int = 4):
+    """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble."""
+    grid = _grid(0.0, np.pi / 2, points)
     channel = preset("eraser_cnot")
     rho = np.eye(2, dtype=complex) / 2
     ens = random_ensemble(rho, members, np.random.default_rng([seed, 0]))
     rows = []
-    for theta in np.linspace(0.0, np.pi / 2, points):
+    for theta in grid:
         meas = rotation_measurement(theta)
         f_ea = assisted_fidelity(channel, rho, meas)
         info = mutual_information(joint_distribution(channel, ens, meas))
@@ -45,11 +52,10 @@ def eraser_curve(points: int = ERASER_GRID, seed: int = 0, members: int = 4):
 
 def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8):
     """Rows (lambda0, f_ea_canonical, f_ea_optimized) over lambda0 in [0, 1]."""
-    if points < 2:
-        raise UnknownScenario(f"grid must have at least 2 points, got {points}")
+    grid = _grid(0.0, 1.0, points)
     rho = np.eye(2, dtype=complex) / 2
     rows = []
-    for lam0 in np.linspace(0.0, 1.0, points):
+    for lam0 in grid:
         channel = preset("partial_teleportation", lam0=float(lam0))
         f_canonical = assisted_fidelity(channel, rho)
         f_optimized = optimize_erasure(

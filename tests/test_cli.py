@@ -161,6 +161,20 @@ class TestAnalyze:
         assert code == 1
         assert "EnsembleMismatch" in capsys.readouterr().err
 
+    def test_ensemble_of_the_wrong_dimension(self, tmp_path, capsys):
+        path = tmp_path / "ens.json"
+        halves = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
+        path.write_text(json.dumps({"members": [encode_matrix(m) for m in halves]}))
+        out = tmp_path / "r.json"
+        code = main(
+            ["analyze", "--preset", "random", "--dim", "3", "--ensemble", str(path),
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_analyze_byte_identical(self, tmp_path):
         out = tmp_path / "report.json"
         args = ["analyze", "--preset", "amplitude_damping", "--param", "0.3",
@@ -290,6 +304,20 @@ class TestOptimize:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("extra", [[], ["--oracle", "100"]])
+    def test_state_of_the_wrong_dimension(self, tmp_path, capsys, extra):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"matrix": encode_matrix(np.eye(3) / 3)}))
+        out = tmp_path / "opt.json"
+        code = main(
+            ["optimize", "--preset", "dephasing", "--state", str(state), *extra,
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unconverged_run_warns_on_stderr_only(self, tmp_path, capsys):
         out = tmp_path / "opt.json"
         args = ["optimize", "--preset", "random", "--dim", "2", "--kraus", "3",
@@ -330,6 +358,17 @@ class TestSizeCaps:
     def test_oversized_request_fails_fast(self, tmp_path, capsys, argv):
         out = tmp_path / "opt.json"
         assert main(["optimize", *argv, "--out", str(out)]) == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_grid_fails_fast(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated the grid before the size check")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "curve.csv"
+        argv = ["scenario", "--name", "teleport", "--grid", str(10**9), "--out", str(out)]
+        assert main(argv) == 1
         assert "ParamOutOfRange" in capsys.readouterr().err
         assert not out.exists()
 

@@ -18,7 +18,7 @@ from erasurekit import (
     witness_channel,
 )
 from erasurekit.channels import PAULI_Z
-from erasurekit.errors import BadOutcomeCount
+from erasurekit.errors import BadOutcomeCount, DimensionMismatch
 from erasurekit.optimizer import WARMUP, _ascend, _mm_steps, _polish
 
 MIXED = np.eye(2, dtype=complex) / 2
@@ -102,6 +102,11 @@ class TestOptimizeErasure:
     def test_too_few_outcomes(self):
         with pytest.raises(BadOutcomeCount):
             optimize_erasure(projector_channel(), MIXED, 1)
+
+    @pytest.mark.parametrize("search", [optimize_erasure, sample_oracle])
+    def test_state_of_the_wrong_dimension(self, search):
+        with pytest.raises(DimensionMismatch, match="channel acts on dimension 2"):
+            search(projector_channel(), np.eye(3, dtype=complex) / 3)
 
     def test_deterministic(self):
         a = optimize_erasure(projector_channel(), seed=3)
