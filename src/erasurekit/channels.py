@@ -10,7 +10,6 @@ map are different probe configurations even though they are channel-equal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,19 +61,22 @@ def _check_entries(entries: int, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A channel as a family of d x d Kraus operators with sum E_k^dag E_k = I."""
+    """A channel as a family of d x d Kraus operators with sum E_k^dag E_k = I.
+
+    ``stack`` holds the operators as one read-only K x d x d array, and
+    ``operators`` gives its slices, so no caller can change the channel.
+    """
 
     dim: int
-    operators: tuple[np.ndarray, ...]
+    stack: np.ndarray
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack)
 
     @property
     def kraus_count(self) -> int:
-        return len(self.operators)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The operators as one read-only K x d x d array, built on first use."""
-        return numerics._read_only(np.stack(self.operators))
+        return self.stack.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +104,7 @@ def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
     if drop_zero:
         kept = [e for e in ops if np.linalg.norm(e) >= ZERO_OPERATOR_NORM]
         ops = kept or ops[:1]
-    return KrausChannel(dim=d, operators=tuple(e.copy() for e in ops))
+    return KrausChannel(dim=d, stack=numerics._read_only(np.stack(ops)))
 
 
 def validate(channel: KrausChannel) -> None:
@@ -162,7 +164,7 @@ def dual_effect(channel: KrausChannel, j: int) -> np.ndarray:
         raise IndexOutOfRange(
             f"Kraus index {j} outside [0, {channel.kraus_count})"
         )
-    e = channel.operators[j]
+    e = channel.stack[j]
     return numerics.hermitize(numerics.dagger(e) @ e)
 
 

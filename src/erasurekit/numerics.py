@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-try:  # hashlib's own BLAKE2, without the OpenSSL load that importing hashlib costs
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without its builtin BLAKE2
-    from hashlib import blake2b
+from hashlib import blake2b
 
 import numpy as np
 
@@ -136,7 +132,9 @@ class _Digest:
         return m
 
 
-@lru_cache(maxsize=8)
+# Two entries hold every repeat a verify trial makes (its state and the
+# matrix decomposed between two of its uses), and bound the memory kept.
+@lru_cache(maxsize=2)
 def _cached_psd_eigh(digest: _Digest, violation: float) -> tuple[np.ndarray, np.ndarray]:
     p = digest.take()
     herm_dev = float(np.abs(p - dagger(p)).max(initial=0.0))

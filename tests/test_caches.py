@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from erasurekit import numerics, preset
+from erasurekit import kraus_channel, numerics, preset
 from erasurekit.cli import main
 from erasurekit.errors import NotPSD
 
@@ -141,17 +141,22 @@ def test_an_entry_keeps_no_reference_to_its_input():
 
 def test_shared_outputs_are_read_only():
     w, v = numerics.psd_eigh(numerics.random_density(2, 7))
-    stack = preset("depolarizing", p=0.3).stack
-    assert stack.shape == (4, 2, 2)
-    for array in (w, v, stack):
+    ch = preset("depolarizing", p=0.3)
+    assert ch.stack.shape == (4, 2, 2)
+    for array in (w, v, ch.stack, ch.operators[0]):
         with pytest.raises(ValueError):
             array[0] = 0
 
 
-def test_channel_stack_is_built_once():
-    ch = preset("random", dim=3, kraus=4, seed=2)
-    assert ch.stack is ch.stack
-    assert np.array_equal(ch.stack, np.stack(ch.operators))
+def test_channel_operators_are_slices_of_its_one_stack():
+    ops = [numerics.ginibre(3, 3, [2, k]) for k in range(4)]
+    ch = kraus_channel(ops)
+    assert ch.kraus_count == 4
+    for k, e in enumerate(ch.operators):
+        assert np.shares_memory(e, ch.stack)
+        assert np.array_equal(e, ops[k]) and np.array_equal(ch.stack[k], ops[k])
+    ops[0][0, 0] += 1.0  # the channel keeps its own copy
+    assert not np.array_equal(ch.operators[0], ops[0])
 
 
 def test_verify_output_does_not_depend_on_call_history(tmp_path, capsys):
