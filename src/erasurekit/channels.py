@@ -33,6 +33,9 @@ ZERO_OPERATOR_NORM = 1e-12
 
 COMPLETENESS_ATOL = 1e-9
 
+# Channels are equal when their Choi matrices are within this in trace norm.
+CHOI_ATOL = 1e-9
+
 # Largest complex array a request may build, in entries (256 MiB): the random
 # preset's (d K) x d isometry, or the optimizer's m x K mixings and m x d x d
 # branches. Sizes are checked in integer arithmetic before anything is allocated.
@@ -198,8 +201,8 @@ def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     return numerics.trace_norm(choi_matrix(a) - choi_matrix(b))
 
 
-def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> bool:
-    return choi_distance(a, b) <= tol
+def channels_equal(a: KrausChannel, b: KrausChannel) -> bool:
+    return choi_distance(a, b) <= CHOI_ATOL
 
 
 def _check_unit_interval(name: str, value: float) -> float:

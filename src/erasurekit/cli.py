@@ -24,7 +24,7 @@ from .probes import (
     random_ensemble,
     random_measurement,
 )
-from .scenarios import ERASER_GRID, TELEPORT_GRID, scenario_curve
+from .scenarios import scenario_curve
 from .serialize import (
     channel_from_dict,
     csv_line,
@@ -48,6 +48,7 @@ VERIFY_COLUMNS = (
     "slack_fidelity_trace,slack_measurement_l1,slack_pinsker,slack_total,"
     "slack_converse,entropy_lower_slack,entropy_upper_slack,worst_slack"
 )
+SLACK_COLUMNS = VERIFY_COLUMNS.split(",")[10:-1]  # every link; worst_slack is their minimum
 
 
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
@@ -134,16 +135,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    if args.grid is not None and args.grid < 2:
-        print("error: grid must have at least 2 points", file=sys.stderr)
-        return EXIT_USAGE
-    grid = args.grid or (ERASER_GRID if args.name == "eraser" else TELEPORT_GRID)
-    columns, rows = scenario_curve(args.name, grid, args.seed, args.restarts)
+    columns, rows = scenario_curve(args.name, args.grid, args.seed, args.restarts)
     config = {
         "command": "scenario",
         "format": "csv",
         "name": args.name,
-        "grid": grid,
+        "grid": len(rows),  # one row per grid point, so this resolves the default grid
         "restarts": args.restarts,
         "seed": args.seed,
         "out": args.out,
@@ -203,18 +200,7 @@ def _verify_trial(master_seed: int, trial: int, dims: list[int]) -> dict:
         "entropy_lower_slack": bounds.lower_slack,
         "entropy_upper_slack": bounds.upper_slack,
     }
-    row["worst_slack"] = min(
-        row[k]
-        for k in (
-            "slack_fidelity_trace",
-            "slack_measurement_l1",
-            "slack_pinsker",
-            "slack_total",
-            "slack_converse",
-            "entropy_lower_slack",
-            "entropy_upper_slack",
-        )
-    )
+    row["worst_slack"] = min(row[c] for c in SLACK_COLUMNS)
     return row
 
 
@@ -222,7 +208,10 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    dims = sorted({int(d) for d in args.dims.split(",") if d.strip()})
+    try:
+        dims = sorted({int(d) for d in args.dims.split(",") if d.strip()})
+    except ValueError:
+        dims = []
     if not dims or any(d < 2 for d in dims):
         print("error: --dims needs integers >= 2", file=sys.stderr)
         return EXIT_USAGE
@@ -242,13 +231,10 @@ def cmd_verify(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    slack_columns = columns[10:-1]
     summary = {
         "config": config,
         "trials": args.trials,
-        "worst_slack_per_link": {
-            c: min(row[c] for row in rows) for c in slack_columns
-        },
+        "worst_slack_per_link": {c: min(row[c] for row in rows) for c in SLACK_COLUMNS},
         "worst_slack": min(row["worst_slack"] for row in rows),
     }
     summary["pass"] = summary["worst_slack"] >= SLACK_FLOOR
@@ -260,6 +246,8 @@ def cmd_optimize(args) -> int:
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     outcomes = args.outcomes if args.outcomes > 0 else channel.kraus_count
+    # 0 means no oracle; sample_oracle refuses a negative count before the search runs
+    oracle = sample_oracle(channel, rho, args.oracle, args.seed) if args.oracle else None
     result = optimize_erasure(
         channel,
         rho,
@@ -269,14 +257,10 @@ def cmd_optimize(args) -> int:
         tol=args.tol,
         seed=args.seed,
     )
-    if args.oracle > 0:
-        result = result.with_oracle(sample_oracle(channel, rho, args.oracle, args.seed))
-    reusable = args.state == "mixed" and outcomes == channel.kraus_count
+    if oracle is not None:
+        result = result.with_oracle(oracle)
     verdict = detect_random_unitary(
-        channel,
-        restarts=args.restarts,
-        seed=args.seed,
-        result=result if reusable else None,
+        channel, restarts=args.restarts, seed=args.seed, result=result
     )
     config = {
         "command": "optimize",

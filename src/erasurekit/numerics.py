@@ -9,8 +9,8 @@ convention.
 Two bounded caches sit under ``psd_eigh`` and ``trace_norm``, because one
 verify trial decomposes the same few matrices (the state above all) many
 times over. Each is an LRU (``functools.lru_cache``, which is thread-safe)
-keyed by the exact matrix: its shape, ``violation`` for ``psd_eigh``, and a
-16-byte BLAKE2b digest of its bytes, so an entry holds no copy of its input.
+keyed by the exact matrix: its shape and a 16-byte BLAKE2b digest of its
+bytes, so an entry holds no copy of its input.
 Only an exact byte-for-byte repeat hits, errors are never cached, and a hit
 returns what the computation returns, so results do not depend on call
 history. ``psd_eigh`` hands out read-only arrays, since a hit shares them
@@ -41,6 +41,9 @@ PSD_VIOLATION = 1e-8
 
 # Rank cutoff for every on-support pseudo-power (rho**(+-1/2) and friends).
 RANK_CUTOFF = 1e-10
+
+# A density matrix's trace must be one within this.
+TRACE_ATOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -135,30 +138,30 @@ class _Digest:
 # Two entries hold every repeat a verify trial makes (its state and the
 # matrix decomposed between two of its uses), and bound the memory kept.
 @lru_cache(maxsize=2)
-def _cached_psd_eigh(digest: _Digest, violation: float) -> tuple[np.ndarray, np.ndarray]:
+def _cached_psd_eigh(digest: _Digest) -> tuple[np.ndarray, np.ndarray]:
     p = digest.take()
     herm_dev = float(np.abs(p - dagger(p)).max(initial=0.0))
     if herm_dev > 1e-10:
         raise NotPSD(f"matrix is not Hermitian: max |P - P^dag| = {herm_dev:.3e}")
     w, v = np.linalg.eigh(hermitize(p))
     low = float(w.min(initial=0.0))
-    if low < -violation:
-        raise NotPSD(f"negative eigenvalue {low:.3e} below tolerance -{violation:.0e}")
+    if low < -PSD_VIOLATION:
+        raise NotPSD(f"negative eigenvalue {low:.3e} below tolerance -{PSD_VIOLATION:.0e}")
     return _read_only(np.clip(w, 0.0, None)), _read_only(v)
 
 
-def psd_eigh(p, *, violation: float = PSD_VIOLATION) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(p) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian PSD matrix with noise clamping.
 
     Rejects matrices that are not Hermitian within 1e-10 or have an eigenvalue
-    below ``-violation``; eigenvalues in the noise band are clamped to zero.
+    below ``-PSD_VIOLATION``; negative eigenvalues above it are clamped to zero.
     The returned arrays are read-only: a repeat of the same matrix gets the
     same arrays from the module's cache.
     """
     p = as_matrix(p)
     if p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {p.shape}")
-    return _cached_psd_eigh(_Digest(p), violation)
+    return _cached_psd_eigh(_Digest(p))
 
 
 def psd_sqrt(p) -> np.ndarray:
@@ -179,10 +182,10 @@ def psd_power(p, exponent: float, *, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     return hermitize((vk * w[keep] ** exponent) @ dagger(vk))
 
 
-def support_rank(p, *, cutoff: float = RANK_CUTOFF) -> int:
-    """Number of eigenvalues of a PSD matrix above the rank cutoff."""
+def support_rank(p) -> int:
+    """Number of eigenvalues of a PSD matrix above ``RANK_CUTOFF``."""
     w, _ = psd_eigh(p)
-    return int((w > cutoff).sum())
+    return int((w > RANK_CUTOFF).sum())
 
 
 @lru_cache(maxsize=64)
@@ -195,34 +198,30 @@ def trace_norm(a) -> float:
     return _cached_trace_norm(_Digest(as_matrix(a)))
 
 
-def ensure_density(rho, *, trace_atol: float = 1e-9) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD within noise, unit trace."""
+def ensure_density(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD within noise, unit trace within ``TRACE_ATOL``."""
     rho = as_matrix(rho)
     try:
         psd_eigh(rho)
     except NotPSD as exc:
         raise NotDensity(str(exc)) from exc
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_atol:
-        raise NotDensity(f"trace is {tr:.12g}, expected 1 within {trace_atol:.0e}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise NotDensity(f"trace is {tr:.12g}, expected 1 within {TRACE_ATOL:.0e}")
     return rho
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
-    Both arguments must be density matrices of the same dimension. The result
-    lies in [0, 1] up to float noise and is symmetric in its arguments.
+    Both arguments must be density matrices of the same dimension (else
+    NotDensity or DimensionMismatch). The result lies in [0, 1] up to float
+    noise and is symmetric in its arguments.
     """
-    rho = as_matrix(rho)
-    sigma = as_matrix(sigma)
+    rho = ensure_density(rho)
+    sigma = ensure_density(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"state shapes differ: {rho.shape} vs {sigma.shape}")
-    for m in (rho, sigma):
-        psd_eigh(m)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise NotDensity(f"trace is {tr:.12g}, expected 1 within 1e-09")
     s = psd_sqrt(rho)
     w, _ = psd_eigh(s @ sigma @ s)
     return float(np.sqrt(w).sum())
@@ -293,17 +292,27 @@ def verify_entropy_bounds(r, s) -> EntropyBounds:
     )
 
 
+def _haar(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Haar isometries of the last two axes of ``shape``, one per leading index.
+
+    QR of complex Ginibre matrices with the diagonal phases of R normalized,
+    which gives the exact Haar distribution. All real parts are drawn before
+    all imaginary parts, so a seeded draw depends on the whole ``shape``.
+    """
+    g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
     """Haar-distributed isometry (orthonormal columns) of shape rows x cols.
 
-    QR of a complex Ginibre matrix with the diagonal phases of R normalized,
-    which gives the exact Haar distribution. Deterministic for a fixed seed.
+    Deterministic for a fixed seed.
     """
     if cols < 1 or rows < cols:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {rows} x {cols}")
-    q, r = np.linalg.qr(ginibre(rows, cols, seed))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar((rows, cols), _rng(seed))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

@@ -66,15 +66,22 @@ RESTART_TIE_ATOL = 1e-12
 # them takes exactly the plain MM trajectory.
 WARMUP = 10
 
+# Perfect erasure: the optimum, polished for at most POLISH_ITERS evaluations, is
+# within RANDOM_UNITARY_TOL of one, and ENSEMBLE_CHECKS random ensembles see no information.
+RANDOM_UNITARY_TOL = 1e-6
+POLISH_ITERS = 300
+ENSEMBLE_CHECKS = 20
+
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best mixing found, its value, and the full per-restart iteration trace."""
+    """Best mixing found, its value, the per-restart trace, and the read-only state searched at."""
 
     best_mixing: ProbeMeasurement
     best_value: float
     trace: tuple[tuple[int, int, float], ...]
     converged: bool
+    state: np.ndarray
     oracle_value: float | None = None
 
     def with_oracle(self, value: float) -> "OptimizationResult":
@@ -209,11 +216,14 @@ def optimize_erasure(
     """Maximize the assisted fidelity over m-outcome mixing isometries.
 
     ``rho`` defaults to the maximally mixed state, ``outcomes`` to the Kraus
-    count. Restart r > 0 starts from the Haar isometry seeded by (seed, r);
+    count. Restart r > 1 starts from the Haar isometry seeded by (seed, r);
     restarts tied within 1e-12 are resolved toward the lowest index, so
     results are deterministic and independent of any execution order.
+    Raises ParamOutOfRange when ``restarts < 1`` or ``max_iters < 0``.
     """
     validate(channel)
+    if restarts < 1 or max_iters < 0:
+        raise ParamOutOfRange(f"need restarts >= 1 and max_iters >= 0, got {restarts}, {max_iters}")
     rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
     kk = channel.kraus_count
     m = kk if outcomes is None else int(outcomes)
@@ -224,7 +234,7 @@ def optimize_erasure(
 
     trace: list[tuple[int, int, float]] = []
     best_w, best_value, best_converged = None, -np.inf, False
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         if r == 0:
             w0 = _identity_start(m, kk)
         elif r == 1:
@@ -239,6 +249,7 @@ def optimize_erasure(
         best_value=best_value,
         trace=tuple(trace),
         converged=best_converged,
+        state=numerics._read_only(rho.copy()),
     )
 
 
@@ -261,10 +272,7 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
-        g = (rng.normal(size=(n, kk, kk)) + 1j * rng.normal(size=(n, kk, kk))) / np.sqrt(2)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        w = q * (d / np.abs(d))[:, None, :]
+        w = numerics._haar((n, kk, kk), rng)
         branches_rho = np.einsum("njk,kab->njab", w, ops_rho)
         t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=-1)
         best = max(best, float((t**2).sum(axis=-1).max()))
@@ -274,23 +282,22 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
 
 def detect_random_unitary(
     channel: KrausChannel,
-    tol: float = 1e-6,
     *,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     result: OptimizationResult | None = None,
-    polish_iters: int = 300,
-    ensemble_checks: int = 20,
 ) -> RandomUnitaryVerdict:
     """Decide numerically whether the channel mixes unitaries.
 
-    Optimizes erasure at the maximally mixed state (reusing ``result`` when its
-    mixing has as many outcomes as the channel has Kraus operators, as a
-    default ``optimize_erasure`` run gives), then polishes the best mixing with
-    further ascent so the normalized branches E'_j / sqrt(p(j) d) can be tested
-    for unitarity at witness precision. A true verdict needs the optimum
-    within ``tol`` of one, branch residuals below 10 sqrt(tol), and near-zero
-    mutual information across seeded random ensembles.
+    Optimizes erasure at the maximally mixed state, then polishes the best
+    mixing with further ascent so the normalized branches E'_j / sqrt(p(j) d)
+    can be tested for unitarity at witness precision. ``result`` is reused in
+    place of the search only when it was optimized at the maximally mixed
+    state with as many outcomes as the channel has Kraus operators, as a
+    default ``optimize_erasure`` run is. A true verdict needs the optimum
+    within RANDOM_UNITARY_TOL of one, branch residuals below
+    10 sqrt(RANDOM_UNITARY_TOL), and near-zero mutual information across
+    seeded random ensembles.
     """
     validate(channel)
     d = channel.dim
@@ -300,11 +307,12 @@ def detect_random_unitary(
         result is not None
         and result.best_mixing.kraus_count == kk
         and result.best_mixing.outcomes == kk
+        and np.array_equal(result.state, rho)
     )
     if not reusable:
         result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
     ops = channel.stack
-    w, best_value = _polish(ops, rho, result.best_mixing.mixing, polish_iters)
+    w, best_value = _polish(ops, rho, result.best_mixing.mixing, POLISH_ITERS)
 
     branches = np.einsum("jk,kab->jab", w, ops)
     probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d
@@ -314,11 +322,11 @@ def detect_random_unitary(
         float(np.abs(numerics.dagger(u) @ u - np.eye(d)).max()) for u in normalized
     )
 
-    if best_value < 1 - tol or residual >= 10 * np.sqrt(tol):
+    if best_value < 1 - RANDOM_UNITARY_TOL or residual >= 10 * np.sqrt(RANDOM_UNITARY_TOL):
         return RandomUnitaryVerdict(False, None, residual)
 
     meas = probe_measurement(w)
-    for check in range(ensemble_checks):
+    for check in range(ENSEMBLE_CHECKS):
         ens = random_ensemble(rho, 4, np.random.default_rng([seed, 104729, check]))
         if mutual_information(joint_distribution(channel, ens, meas)) >= 1e-5:
             return RandomUnitaryVerdict(False, None, residual)

@@ -33,6 +33,12 @@ ISOMETRY_ATOL = 1e-10
 # convention keeps every entropic quantity finite without them.
 OUTCOME_FLOOR = 1e-12
 
+# Two measurements are equal when their rows agree within this, up to phase.
+MEASUREMENT_ATOL = 1e-9
+
+# Share of rho a random ensemble splits uniformly over its members.
+ENSEMBLE_FLOOR = 0.01
+
 
 @dataclass(frozen=True, eq=False)
 class ProbeMeasurement:
@@ -79,14 +85,14 @@ def random_measurement(outcomes: int, kraus_count: int, seed) -> ProbeMeasuremen
     return probe_measurement(numerics.haar_isometry(outcomes, kraus_count, seed))
 
 
-def measurements_equal(a: ProbeMeasurement, b: ProbeMeasurement, tol: float = 1e-9) -> bool:
+def measurements_equal(a: ProbeMeasurement, b: ProbeMeasurement) -> bool:
     """Row-wise equality up to a phase per row (the unphysical gauge)."""
     if a.mixing.shape != b.mixing.shape:
         return False
     for ra, rb in zip(a.mixing, b.mixing):
         inner = complex(np.vdot(ra, rb))
         phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-        if float(np.abs(ra * phase - rb).max()) > tol:
+        if float(np.abs(ra * phase - rb).max()) > MEASUREMENT_ATOL:
             return False
     return True
 
@@ -177,11 +183,11 @@ def _complex_normal(rng: np.random.Generator, count: int, shape: tuple[int, ...]
     return x[:, 0] + 1j * x[:, 1]
 
 
-def random_ensemble(rho, members: int, seed, *, floor: float = 0.01) -> Ensemble:
-    """Seeded random decomposition of ``rho`` with all weights >= floor/members.
+def random_ensemble(rho, members: int, seed) -> Ensemble:
+    """Seeded random decomposition of ``rho`` with all weights >= ENSEMBLE_FLOOR/members.
 
     Ginibre-random PSD pieces are conjugated into a resolution of the support
-    of rho, then blended with the uniform split by ``floor`` so no weight can
+    of rho, then blended with the uniform split by ENSEMBLE_FLOOR so no weight can
     collapse to zero. The pieces are drawn and conjugated as one stack; the
     request size is checked before anything is drawn.
     """
@@ -195,8 +201,8 @@ def random_ensemble(rho, members: int, seed, *, floor: float = 0.01) -> Ensemble
     pieces = g @ numerics.dagger(g)
     s_inv_half = numerics.psd_power(pieces.sum(axis=0), -0.5)
     sq = numerics.psd_power(rho, 0.5)
-    mats = sq @ (s_inv_half @ pieces @ s_inv_half) @ sq
-    return ensemble(numerics.hermitize((1 - floor) * mats + floor * rho / members))
+    mats = (1 - ENSEMBLE_FLOOR) * (sq @ (s_inv_half @ pieces @ s_inv_half) @ sq)
+    return ensemble(numerics.hermitize(mats + ENSEMBLE_FLOOR * rho / members))
 
 
 def joint_distribution(channel: KrausChannel, ens: Ensemble, meas: ProbeMeasurement) -> np.ndarray:
@@ -262,7 +268,7 @@ class ICEnsemble:
     gamma: float
 
 
-def ic_ensemble(rho, members: int, seed, *, cutoff: float = numerics.RANK_CUTOFF) -> ICEnsemble:
+def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
     """Seeded informationally complete decomposition of ``rho``.
 
     Draws ``members`` Haar-random unit vectors in the support of rho, turns
@@ -278,6 +284,7 @@ def ic_ensemble(rho, members: int, seed, *, cutoff: float = numerics.RANK_CUTOFF
     stacks.
     """
     rho = numerics.ensure_density(rho)
+    cutoff = numerics.RANK_CUTOFF
     w, v = numerics.psd_eigh(rho)
     keep = w > cutoff
     r = int(keep.sum())

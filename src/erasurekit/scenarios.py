@@ -23,6 +23,9 @@ from .probes import joint_distribution, mutual_information, random_ensemble, rot
 ERASER_GRID = 33
 TELEPORT_GRID = 21
 
+# Members of the seeded ensemble whose mutual information the eraser curve reports.
+ERASER_MEMBERS = 4
+
 ERASER_COLUMNS = ("theta", "f_ea", "mutual_info")
 TELEPORT_COLUMNS = ("lambda0", "f_ea_canonical", "f_ea_optimized")
 
@@ -35,12 +38,12 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def eraser_curve(points: int = ERASER_GRID, seed: int = 0, members: int = 4):
+def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
     """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble."""
     grid = _grid(0.0, np.pi / 2, points)
     channel = preset("eraser_cnot")
     rho = np.eye(2, dtype=complex) / 2
-    ens = random_ensemble(rho, members, np.random.default_rng([seed, 0]))
+    ens = random_ensemble(rho, ERASER_MEMBERS, np.random.default_rng([seed, 0]))
     rows = []
     for theta in grid:
         meas = rotation_measurement(theta)
@@ -68,7 +71,8 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8
 def scenario_curve(name: str, points: int | None = None, seed: int = 0, restarts: int = 8):
     """Dispatch by scenario name; returns (column names, rows)."""
     if name == "eraser":
-        return ERASER_COLUMNS, eraser_curve(points or ERASER_GRID, seed)
+        return ERASER_COLUMNS, eraser_curve(ERASER_GRID if points is None else points, seed)
     if name == "teleport":
-        return TELEPORT_COLUMNS, teleport_curve(points or TELEPORT_GRID, seed, restarts)
+        points = TELEPORT_GRID if points is None else points
+        return TELEPORT_COLUMNS, teleport_curve(points, seed, restarts)
     raise UnknownScenario(f"unknown scenario {name!r}; choose eraser or teleport")

@@ -107,12 +107,12 @@ def test_a_rejected_matrix_raises_on_every_call(bad):
         assert (info.misses, info.currsize) == (n, 0)
 
 
-def test_violation_is_part_of_the_key():
+def test_psd_violation_bounds_the_clamp():
     p = np.diag([1 + 5e-9, -5e-9]).astype(complex)
     w, _ = numerics.psd_eigh(p)
     assert w[0] == 0.0
     with pytest.raises(NotPSD):
-        numerics.psd_eigh(p, violation=1e-9)
+        numerics.psd_eigh(np.diag([1 + 2e-8, -2e-8]).astype(complex))
 
 
 def test_an_input_edited_in_place_gets_its_new_result():

@@ -217,6 +217,12 @@ class TestScenario:
         code = main(["scenario", "--name", "eraser", "--grid", "1", "--out", "x.csv"])
         assert code == 1
 
+    def test_zero_grid(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["scenario", "--name", "eraser", "--grid", "0", "--out", str(out)]) == 1
+        assert "at least 2 points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_short_sweep_passes(self, tmp_path, capsys):
@@ -228,6 +234,14 @@ class TestVerify:
         assert summary["worst_slack"] >= -1e-9
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 6
+
+    @pytest.mark.parametrize("dims", ["abc", "2,x"])
+    def test_non_integer_dims(self, tmp_path, capsys, dims):
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--dims", dims, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --dims needs integers >= 2\n" and captured.out == ""
+        assert not out.exists()
 
     def test_zero_trials(self, capsys):
         code = main(["verify", "--trials", "0"])
@@ -318,6 +332,17 @@ class TestOptimize:
         assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--restarts", "0"), ("--restarts", "-3"), ("--iters", "-1"), ("--oracle", "-5")],
+    )
+    def test_budget_out_of_range(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--preset", "dephasing", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unconverged_run_warns_on_stderr_only(self, tmp_path, capsys):
         out = tmp_path / "opt.json"
         args = ["optimize", "--preset", "random", "--dim", "2", "--kraus", "3",
@@ -342,6 +367,7 @@ class TestSizeCaps:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(numerics, "ginibre", refuse)
+        monkeypatch.setattr(numerics, "_haar", refuse)
         monkeypatch.setattr("erasurekit.optimizer._identity_start", refuse)
         # the one draw both random_ensemble and ic_ensemble make
         monkeypatch.setattr("erasurekit.probes._complex_normal", refuse)

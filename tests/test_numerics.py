@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from erasurekit import (
+    haar_isometry,
     haar_unitary,
     polar_decompose,
     psd_sqrt,
@@ -16,6 +17,7 @@ from erasurekit.errors import (
     BetaZero,
     DimensionMismatch,
     DivergentRelativeEntropy,
+    NotDensity,
     NotFinite,
     NotPSD,
 )
@@ -140,6 +142,14 @@ class TestUhlmannFidelity:
         with pytest.raises(DimensionMismatch):
             uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3)
 
+    @pytest.mark.parametrize(
+        "bad", [np.diag([1.5, -0.5]), np.eye(2), np.array([[0.5, 0.1], [0.0, 0.5]])]
+    )
+    def test_either_argument_must_be_a_density(self, bad):
+        for args in ((bad, np.eye(2) / 2), (np.eye(2) / 2, bad)):
+            with pytest.raises(NotDensity):
+                uhlmann_fidelity(*args)
+
     def test_fidelity_trace_norm_bounds(self):
         # the two relations the inequality chains lean on
         rng = np.random.default_rng(17)
@@ -225,6 +235,13 @@ class TestHaarUnitary:
 
     def test_deterministic(self):
         assert np.array_equal(haar_unitary(3, 42), haar_unitary(3, 42))
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (4, 4), (16, 16), (8, 3)])
+    def test_bit_identical_to_the_ginibre_qr_draw(self, rows, cols):
+        # the isometry as it was drawn before it shared numerics._haar
+        q, r = np.linalg.qr(ginibre(rows, cols, [rows, cols]))
+        d = np.diagonal(r)
+        assert np.array_equal(haar_isometry(rows, cols, [rows, cols]), q * (d / np.abs(d)))
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionMismatch):

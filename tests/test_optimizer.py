@@ -18,7 +18,7 @@ from erasurekit import (
     witness_channel,
 )
 from erasurekit.channels import PAULI_Z
-from erasurekit.errors import BadOutcomeCount, DimensionMismatch
+from erasurekit.errors import BadOutcomeCount, DimensionMismatch, ParamOutOfRange
 from erasurekit.optimizer import WARMUP, _ascend, _mm_steps, _polish
 
 MIXED = np.eye(2, dtype=complex) / 2
@@ -103,6 +103,18 @@ class TestOptimizeErasure:
         with pytest.raises(BadOutcomeCount):
             optimize_erasure(projector_channel(), MIXED, 1)
 
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -3}, {"max_iters": -1}])
+    def test_budget_out_of_range(self, budget):
+        with pytest.raises(ParamOutOfRange):
+            optimize_erasure(projector_channel(), **budget)
+
+    def test_records_a_read_only_copy_of_its_state(self):
+        rho = np.diag([0.75, 0.25]).astype(complex)
+        result = optimize_erasure(projector_channel(), rho, restarts=1)
+        assert np.array_equal(result.state, rho) and result.state is not rho
+        assert not result.state.flags.writeable and rho.flags.writeable
+        assert np.array_equal(optimize_erasure(projector_channel(), restarts=1).state, MIXED)
+
     @pytest.mark.parametrize("search", [optimize_erasure, sample_oracle])
     def test_state_of_the_wrong_dimension(self, search):
         with pytest.raises(DimensionMismatch, match="channel acts on dimension 2"):
@@ -116,7 +128,31 @@ class TestOptimizeErasure:
         assert a.trace == b.trace
 
 
+def _inline_oracle(channel, samples, seed):
+    # the oracle's draw as it was written before it shared numerics._haar
+    kk = channel.kraus_count
+    ops_rho = np.stack(channel.operators) @ MIXED
+    rng = np.random.default_rng(seed)
+    best, done = -np.inf, 0
+    while done < samples:
+        n = min(4096, samples - done)
+        g = (rng.normal(size=(n, kk, kk)) + 1j * rng.normal(size=(n, kk, kk))) / np.sqrt(2)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        w = q * (d / np.abs(d))[:, None, :]
+        t = np.linalg.svd(np.einsum("njk,kab->njab", w, ops_rho), compute_uv=False).sum(axis=-1)
+        best = max(best, float((t**2).sum(axis=-1).max()))
+        done += n
+    return best
+
+
 class TestSampleOracle:
+    @pytest.mark.parametrize("kk", [2, 3, 4, 16])
+    def test_bit_identical_to_the_inline_draw(self, kk):
+        ch = preset("random", dim=2, kraus=kk, seed=kk)
+        for samples in (1, 4096, 4097, 9000):
+            assert sample_oracle(ch, MIXED, samples, seed=kk) == _inline_oracle(ch, samples, kk)
+
     def test_identity_channel(self):
         assert sample_oracle(preset("identity"), samples=3, seed=0) == pytest.approx(
             1.0, abs=1e-12
@@ -203,6 +239,17 @@ class TestDetectRandomUnitary:
         result = optimize_erasure(ch, seed=6)
         verdict = detect_random_unitary(ch, seed=6, result=result)
         assert verdict.is_random_unitary
+
+    def test_result_at_another_state_is_not_reused(self):
+        # full dephasing leaves |0><0| alone, so a search there keeps the
+        # which-path readout it starts from; at the maximally mixed state that
+        # readout reveals the path, and the polish cannot leave it
+        ch = preset("dephasing", p=0.5)
+        result = optimize_erasure(ch, np.diag([1.0, 0.0]).astype(complex), seed=6)
+        reused = detect_random_unitary(ch, seed=6, result=result)
+        fresh = detect_random_unitary(ch, seed=6)
+        assert fresh.is_random_unitary and reused.is_random_unitary
+        assert reused.residual == fresh.residual
 
     @pytest.mark.parametrize(
         "name,params",
@@ -370,12 +417,13 @@ class TestFusedKernel:
         # + 1: building the perturbed-identity start of restart 1 takes one SVD
         assert len(svd_calls) <= 2 * evaluations + restarts + 1
 
-    def test_two_svds_per_polish_step(self, svd_calls):
+    def test_two_svds_per_polish_step(self, svd_calls, monkeypatch):
         ch = preset("random", dim=3, kraus=5, seed=33)
         result = optimize_erasure(ch, restarts=2, max_iters=2, seed=1)
         svd_calls.clear()
         polish_iters = 6
-        verdict = detect_random_unitary(ch, result=result, polish_iters=polish_iters)
+        monkeypatch.setattr("erasurekit.optimizer.POLISH_ITERS", polish_iters)
+        verdict = detect_random_unitary(ch, result=result)
         assert not verdict.is_random_unitary
         assert len(svd_calls) <= 1 + 2 * polish_iters
 

@@ -55,3 +55,8 @@ class TestDispatch:
     def test_tiny_grid_rejected(self):
         with pytest.raises(UnknownScenario):
             eraser_curve(points=1)
+
+    @pytest.mark.parametrize("name", ["eraser", "teleport"])
+    def test_zero_points_is_not_the_default_grid(self, name):
+        with pytest.raises(UnknownScenario):
+            scenario_curve(name, 0)

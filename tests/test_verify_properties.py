@@ -13,7 +13,6 @@ from erasurekit import (
     verify_converse,
     verify_direct,
 )
-from erasurekit.erasure import SLACK_FLOOR
 
 
 @st.composite
@@ -36,5 +35,5 @@ def test_every_chain_slack_clears_the_floor(cfg):
     rho = random_density(d, [seed, 1])
     ens = random_ensemble(rho, cfg["members"], [seed, 2])
     meas = random_measurement(kk, kk, [seed, 3])
-    verify_direct(channel, rho, ens, meas).assert_ok(SLACK_FLOOR)
-    verify_converse(channel, rho, meas, cfg["ic_members"], [seed, 4]).assert_ok(SLACK_FLOOR)
+    verify_direct(channel, rho, ens, meas).assert_ok()
+    verify_converse(channel, rho, meas, cfg["ic_members"], [seed, 4]).assert_ok()
