@@ -96,6 +96,8 @@ def _resolve_mixing(args, kraus_count: int):
 
 
 def cmd_analyze(args) -> int:
+    if args.ic_size < 0:
+        raise ParamOutOfRange(f"--ic-size must be >= 0 (0 = dim^2), got {args.ic_size}")
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     meas = _resolve_mixing(args, channel.kraus_count)
@@ -243,6 +245,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.outcomes < 0:
+        raise ParamOutOfRange(f"--outcomes must be >= 0 (0 = Kraus count), got {args.outcomes}")
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     outcomes = args.outcomes if args.outcomes > 0 else channel.kraus_count

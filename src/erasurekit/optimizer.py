@@ -110,12 +110,14 @@ def _mm_steps(ops, rho, w):
     generator is lazy, so a caller that stops after a yield pays for no
     further step.
     """
-    ops_rho = ops @ rho
+    d = rho.shape[0]
+    # row k of flat is E_k rho, so W @ flat stacks the branches E'_j rho
+    flat = (ops @ rho).reshape(len(ops), d * d)
     while True:
-        x, s, yh = np.linalg.svd(np.einsum("jk,kab->jab", w, ops) @ rho)
+        x, s, yh = np.linalg.svd((w @ flat).reshape(-1, d, d))
         t = s.sum(axis=1)
         yield w, float((t**2).sum())
-        g = t[:, None] * np.einsum("jab,kab->jk", (x @ yh).conj(), ops_rho)
+        g = t[:, None] * ((x @ yh).conj().reshape(-1, d * d) @ flat.T)
         gx, _, gyh = np.linalg.svd(g, full_matrices=False)
         w = (gx @ gyh).conj()
 
@@ -256,8 +258,8 @@ def optimize_erasure(
 def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int = 0) -> float:
     """Brute-force baseline: max assisted fidelity over Haar-random square mixings.
 
-    Independent of the ascent path (direct nuclear-norm evaluation on sampled
-    unitaries); deterministic for a fixed seed.
+    Independent of the ascent path (direct trace-norm evaluation on sampled
+    unitaries, in closed form for 2 x 2 branches); deterministic for a fixed seed.
     """
     validate(channel)
     rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
@@ -273,8 +275,7 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
     while done < samples:
         n = min(chunk, samples - done)
         w = numerics._haar((n, kk, kk), rng)
-        branches_rho = np.einsum("njk,kab->njab", w, ops_rho)
-        t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=-1)
+        t = numerics._trace_norms(np.einsum("njk,kab->njab", w, ops_rho))
         best = max(best, float((t**2).sum(axis=-1).max()))
         done += n
     return best

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import _check_entries, preset
 from .erasure import assisted_fidelity
-from .errors import UnknownScenario
+from .errors import ParamOutOfRange, UnknownScenario
 from .optimizer import optimize_erasure
 from .probes import joint_distribution, mutual_information, random_ensemble, rotation_measurement
 
@@ -33,7 +33,7 @@ TELEPORT_COLUMNS = ("lambda0", "f_ea_canonical", "f_ea_optimized")
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
     """``points`` evenly spaced values, refused before allocation when too few or too many."""
     if points < 2:
-        raise UnknownScenario(f"grid must have at least 2 points, got {points}")
+        raise ParamOutOfRange(f"grid must have at least 2 points, got {points}")
     _check_entries(points, f"a {points}-point grid")
     return np.linspace(start, stop, points)
 

@@ -77,6 +77,14 @@ class TestAnalyze:
         assert payload["direct"]["f_e"] == pytest.approx(1.0, abs=1e-9)
         assert payload["direct"]["f_ea"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_negative_ic_size(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--preset", "dephasing", "--ic-size", "-3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_broken_channel_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -334,7 +342,13 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--restarts", "0"), ("--restarts", "-3"), ("--iters", "-1"), ("--oracle", "-5")],
+        [
+            ("--restarts", "0"),
+            ("--restarts", "-3"),
+            ("--iters", "-1"),
+            ("--oracle", "-5"),
+            ("--outcomes", "-2"),
+        ],
     )
     def test_budget_out_of_range(self, tmp_path, capsys, flag, value):
         out = tmp_path / "opt.json"

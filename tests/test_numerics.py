@@ -21,7 +21,7 @@ from erasurekit.errors import (
     NotFinite,
     NotPSD,
 )
-from erasurekit.numerics import ginibre
+from erasurekit.numerics import _haar, _trace_norms, ginibre
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -115,6 +115,47 @@ class TestTraceNorm:
     def test_rejects_nan(self):
         with pytest.raises(NotFinite):
             trace_norm(np.array([[np.nan, 0], [0, 0]]))
+
+
+def _svd_trace_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
+def _assert_within_8_eps(stack):
+    got, want = _trace_norms(stack), _svd_trace_norms(stack)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+
+
+class TestTraceNorms:
+    def test_haar_and_ginibre_stacks(self):
+        rng = np.random.default_rng(40)
+        _assert_within_8_eps(_haar((512, 3, 2, 2), rng))
+        g = ginibre(4096, 2, rng).reshape(2048, 2, 2)
+        _assert_within_8_eps(g * rng.exponential(size=(2048, 1, 1)))
+
+    def test_rank_one_stacks(self):
+        rng = np.random.default_rng(41)
+        u, v = ginibre(1024, 2, rng), ginibre(1024, 2, rng)
+        _assert_within_8_eps(u[:, :, None] * v.conj()[:, None, :])
+
+    @pytest.mark.parametrize("ratio", [10.0**-k for k in range(4, 17)])
+    def test_near_rank_one_stacks(self, ratio):
+        rng = np.random.default_rng([42, int(-np.log10(ratio))])
+        u, v = _haar((256, 2, 2), rng), _haar((256, 2, 2), rng)
+        s1 = rng.exponential(size=256)
+        stack = (u * np.stack([s1, ratio * s1], axis=-1)[:, None, :]) @ v
+        _assert_within_8_eps(stack)
+
+    def test_zero_matrices(self):
+        zeros = np.zeros((5, 2, 2), dtype=complex)
+        assert np.array_equal(_trace_norms(zeros), np.zeros(5))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_other_shapes_are_the_svd_bit_for_bit(self, d):
+        rng = np.random.default_rng(43 + d)
+        stack = ginibre(64 * 3 * d, d, rng).reshape(64, 3, d, d)
+        assert np.array_equal(_trace_norms(stack), _svd_trace_norms(stack))
 
 
 class TestUhlmannFidelity:

@@ -10,6 +10,7 @@ from erasurekit import (
     haar_isometry,
     haar_unitary,
     kraus_channel,
+    numerics,
     optimize_erasure,
     preset,
     probe_measurement,
@@ -129,29 +130,49 @@ class TestOptimizeErasure:
 
 
 def _inline_oracle(channel, samples, seed):
-    # the oracle's draw as it was written before it shared numerics._haar
-    kk = channel.kraus_count
-    ops_rho = np.stack(channel.operators) @ MIXED
+    # the oracle as it was written before it shared numerics._haar and
+    # numerics._trace_norms; returns its value and its draws
+    kk, dim = channel.kraus_count, channel.dim
+    ops_rho = np.stack(channel.operators) @ (np.eye(dim, dtype=complex) / dim)
     rng = np.random.default_rng(seed)
-    best, done = -np.inf, 0
+    best, done, draws = -np.inf, 0, []
     while done < samples:
         n = min(4096, samples - done)
         g = (rng.normal(size=(n, kk, kk)) + 1j * rng.normal(size=(n, kk, kk))) / np.sqrt(2)
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         w = q * (d / np.abs(d))[:, None, :]
+        draws.append(w)
         t = np.linalg.svd(np.einsum("njk,kab->njab", w, ops_rho), compute_uv=False).sum(axis=-1)
         best = max(best, float((t**2).sum(axis=-1).max()))
         done += n
-    return best
+    return best, draws
 
 
 class TestSampleOracle:
     @pytest.mark.parametrize("kk", [2, 3, 4, 16])
-    def test_bit_identical_to_the_inline_draw(self, kk):
-        ch = preset("random", dim=2, kraus=kk, seed=kk)
-        for samples in (1, 4096, 4097, 9000):
-            assert sample_oracle(ch, MIXED, samples, seed=kk) == _inline_oracle(ch, samples, kk)
+    def test_bit_identical_to_the_inline_draw(self, kk, monkeypatch):
+        draws = []
+
+        def recording_haar(shape, rng):
+            draws.append(haar_draw(shape, rng))
+            return draws[-1]
+
+        haar_draw = numerics._haar
+        monkeypatch.setattr(numerics, "_haar", recording_haar)
+        for dim in (2, 3):
+            ch = preset("random", dim=dim, kraus=kk, seed=kk)
+            for samples in (1, 4096, 4097, 9000):
+                draws.clear()
+                value = sample_oracle(ch, samples=samples, seed=kk)
+                reference, reference_draws = _inline_oracle(ch, samples, kk)
+                assert len(draws) == len(reference_draws)
+                assert all(np.array_equal(a, b) for a, b in zip(draws, reference_draws))
+                if dim == 2:
+                    # closed-form 2 x 2 trace norms agree with the SVD to a few ulps
+                    assert abs(value - reference) <= 8 * np.finfo(float).eps * reference
+                else:
+                    assert value == reference
 
     def test_identity_channel(self):
         assert sample_oracle(preset("identity"), samples=3, seed=0) == pytest.approx(
@@ -280,23 +301,30 @@ class TestProbeMeasurementRoundTrip:
 
 # Reference ascent with three SVDs per step: F is evaluated by a separate
 # values-only SVD instead of being read from the step's branch SVD.
+def _flat(ops, rho):
+    # row k is E_k rho
+    return (ops @ rho).reshape(len(ops), -1)
+
+
 def _reference_objective(ops, rho, w):
-    branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
+    d = rho.shape[0]
+    branches_rho = (w @ _flat(ops, rho)).reshape(-1, d, d)
     t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=1)
     return float((t**2).sum())
 
 
 def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
-    ops_rho = ops @ rho
+    d = rho.shape[0]
+    flat = _flat(ops, rho)
     value = _reference_objective(ops, rho, w)
     trace.append((restart, 0, value))
     converged = False
     for it in range(1, max_iters + 1):
-        branches_rho = np.einsum("jk,kab->jab", w, ops) @ rho
+        branches_rho = (w @ flat).reshape(-1, d, d)
         x, s, yh = np.linalg.svd(branches_rho)
         t = s.sum(axis=1)
         v = x @ yh
-        g = t[:, None] * np.einsum("jab,kab->jk", v.conj(), ops_rho)
+        g = t[:, None] * (v.conj().reshape(len(v), -1) @ flat.T)
         gx, _, gyh = np.linalg.svd(g, full_matrices=False)
         w = (gx @ gyh).conj()
         new_value = _reference_objective(ops, rho, w)
@@ -372,6 +400,20 @@ class TestFusedKernel:
             points = list(itertools.islice(_mm_steps(ops, rho, w0), 61))
             _assert_same_rows([(0, i, v) for i, (_, v) in enumerate(points)], reference)
             assert np.array_equal(points[-1][0], w_ref)
+
+    def test_flat_contractions_match_the_einsum_forms(self):
+        for trial, ch in enumerate(_seeded_channels(6, 30)):
+            ops = np.stack(ch.operators)
+            rho = numerics.random_density(ch.dim, [trial, 1])
+            kk = ch.kraus_count
+            w = haar_isometry(kk + 1, kk, np.random.default_rng([trial, 0]))
+            flat = _flat(ops, rho)
+            branches = (w @ flat).reshape(kk + 1, ch.dim, ch.dim)
+            assert np.abs(branches - np.einsum("jk,kab->jab", w, ops) @ rho).max() <= 1e-14
+            x, _, yh = np.linalg.svd(branches)
+            v = x @ yh
+            g = v.conj().reshape(kk + 1, -1) @ flat.T
+            assert np.abs(g - np.einsum("jab,kab->jk", v.conj(), ops @ rho)).max() <= 1e-14
 
     @pytest.mark.parametrize("budget", [1, WARMUP // 2, WARMUP])
     def test_ascent_within_warmup_equals_reference(self, budget):

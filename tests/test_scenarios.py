@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from erasurekit import eraser_curve, scenario_curve, teleport_curve
-from erasurekit.errors import UnknownScenario
+from erasurekit.errors import ParamOutOfRange, UnknownScenario
 
 
 class TestEraserCurve:
@@ -53,10 +53,10 @@ class TestDispatch:
             scenario_curve("interference", 5, 0)
 
     def test_tiny_grid_rejected(self):
-        with pytest.raises(UnknownScenario):
+        with pytest.raises(ParamOutOfRange):
             eraser_curve(points=1)
 
     @pytest.mark.parametrize("name", ["eraser", "teleport"])
     def test_zero_points_is_not_the_default_grid(self, name):
-        with pytest.raises(UnknownScenario):
+        with pytest.raises(ParamOutOfRange):
             scenario_curve(name, 0)
