@@ -152,13 +152,12 @@ def _inline_oracle(channel, samples, seed):
 class TestSampleOracle:
     @pytest.mark.parametrize("kk", [2, 3, 4, 16])
     def test_bit_identical_to_the_inline_draw(self, kk, monkeypatch):
-        draws = []
+        draws, haar_draw = [], numerics._haar
 
         def recording_haar(shape, rng):
             draws.append(haar_draw(shape, rng))
             return draws[-1]
 
-        haar_draw = numerics._haar
         monkeypatch.setattr(numerics, "_haar", recording_haar)
         for dim in (2, 3):
             ch = preset("random", dim=dim, kraus=kk, seed=kk)
@@ -299,13 +298,13 @@ class TestProbeMeasurementRoundTrip:
         assert again.outcomes == 3
 
 
-# Reference ascent with three SVDs per step: F is evaluated by a separate
-# values-only SVD instead of being read from the step's branch SVD.
 def _flat(ops, rho):
     # row k is E_k rho
     return (ops @ rho).reshape(len(ops), -1)
 
 
+# Reference ascent with three SVDs per step: F is evaluated by a separate
+# values-only SVD instead of being read from the step's branch SVD.
 def _reference_objective(ops, rho, w):
     d = rho.shape[0]
     branches_rho = (w @ _flat(ops, rho)).reshape(-1, d, d)
