@@ -21,12 +21,22 @@ first WARMUP steps are plain MM steps. After them, every two plain steps
 w0 -> w1 -> w2 are followed by one S3 step: with r = w1 - w0,
 v = w2 - w1 - r and alpha = min(-|r|/|v|, -1), the extrapolated mixing is
 the polar factor of w0 - 2 alpha r + alpha^2 v, and its value is read from
-the first branch SVD of the kernel started there. The ascent continues from
+the branch SVD made at that point. The ascent continues from
 the extrapolated mixing only if its value beats F(w2); otherwise it resumes
 the plain steps at w2, so every accepted value is nondecreasing. When
 alpha = -1 the S3 point is w2 itself and nothing is evaluated. Iteration
 budgets and trace indices count branch-SVD evaluations, so a trace index
 skips a number where an extrapolation was rejected.
+
+All restarts of one search advance in lockstep, in rounds. In each round
+every running restart makes one evaluation: its plain MM step or its S3
+trial. The plain steps share one stacked SVD of G, the S3 trials one stacked
+retraction SVD, and all new points one stacked branch SVD; then each restart
+applies its own guard, path, budget and stop rule, and leaves the stack when
+it stops. Stacked LAPACK calls return the same bits as per-matrix calls, so
+every restart follows the trajectory it would follow alone. Restarts run in
+groups whose stacked arrays stay within GROUP_ENTRIES complex entries; a
+problem larger than that runs one restart per group.
 
 The ascent in ``optimize_erasure`` and the polish in ``detect_random_unitary``
 walk the same accelerated loop and differ only in their stop rules. The
@@ -66,6 +76,10 @@ RESTART_TIE_ATOL = 1e-12
 # them takes exactly the plain MM trajectory.
 WARMUP = 10
 
+# Complex entries that one lockstep group of restarts may stack, at
+# m * max(K, d^2) per restart; bounds the memory a search's stacks take.
+GROUP_ENTRIES = 2**16
+
 # Perfect erasure: the optimum, polished for at most POLISH_ITERS evaluations, is
 # within RANDOM_UNITARY_TOL of one, and ENSEMBLE_CHECKS random ensembles see no information.
 RANDOM_UNITARY_TOL = 1e-6
@@ -102,88 +116,120 @@ class RandomUnitaryVerdict:
     residual: float
 
 
-def _mm_steps(ops, rho, w):
-    """Yield (w, F(w)) along the MM ascent, starting at ``w`` itself.
+class _Ascent:
+    """One restart's guarded ascent: its accepted point and value, the branch data
+    its next plain step needs, its S3 path, evaluations made, and trace rows."""
 
-    Each step makes one branch SVD: its singular values give F at the current
-    point and its polar factors V_j = X_j Yh_j build the next mixing. The
-    generator is lazy, so a caller that stops after a yield pays for no
-    further step.
+    __slots__ = ("w", "value", "t", "u", "path", "n", "rows", "converged")
+
+    def __init__(self, w, value, t, u):
+        self.w, self.value, self.t, self.u = w, value, t, u
+        self.path = [w]  # plain points since the last extrapolation base, base first
+        self.n = 0
+        self.rows = [(0, value)]
+        self.converged = False
+
+
+def _evaluate(ops_rho, w):
+    """One stacked branch SVD at the mixings ``w`` of shape (n, m, K).
+
+    Returns F at each mixing, the branch trace norms t (n, m) and the
+    conjugated branch polar factors u (n, m, d*d), from which the next MM step
+    builds G.
     """
-    d = rho.shape[0]
-    # row k of flat is E_k rho, so W @ flat stacks the branches E'_j rho
-    flat = (ops @ rho).reshape(len(ops), d * d)
-    while True:
-        x, s, yh = np.linalg.svd((w @ flat).reshape(-1, d, d))
-        t = s.sum(axis=1)
-        yield w, float((t**2).sum())
-        g = t[:, None] * ((x @ yh).conj().reshape(-1, d * d) @ flat.T)
-        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
-        w = (gx @ gyh).conj()
+    kk, d, _ = ops_rho.shape
+    # row k of the flat operators is E_k rho, so W @ flat stacks the branches E'_j rho
+    x, s, yh = np.linalg.svd((w @ ops_rho.reshape(kk, d * d)).reshape(-1, d, d))
+    t = s.sum(axis=1).reshape(len(w), -1)
+    return (t**2).sum(axis=1), t, (x @ yh).conj().reshape(len(w), -1, d * d)
 
 
-def _accelerated_steps(ops, rho, w, budget):
-    """Yield (evaluations, w, F(w)) at ``w`` and at every point the guarded ascent accepts.
+def _begin(ops_rho, starts):
+    """Ascents at ``starts``, evaluated in one stacked branch SVD."""
+    w = np.stack(starts)
+    values, t, u = _evaluate(ops_rho, w)
+    return [_Ascent(w[i], float(values[i]), t[i], u[i]) for i in range(len(w))]
 
-    ``budget`` caps the branch-SVD evaluations after the one at ``w``. Like the
-    kernel it walks, the generator is lazy: a caller that stops after a yield
-    pays for no further evaluation.
+
+def _round(ops_rho, ascents):
+    """Make one evaluation for every ascent; returns (ascent, previous value) per accepted point.
+
+    An ascent whose path holds w0 -> w1 -> w2 evaluates its S3 point, unless
+    alpha = -1 makes that point w2 itself; every other ascent takes its plain
+    MM step. The plain steps share one stacked SVD of G, the S3 points one
+    stacked retraction SVD, and all new points one stacked branch SVD.
     """
-    steps = _mm_steps(ops, rho, w)
-    w, value = next(steps)
-    n = 0
-    yield n, w, value
-    path = [w]  # plain points since the last extrapolation base, base first
-    while n < budget:
-        if len(path) == 3:
-            w0, w1, w2 = path
-            path = [w2]
+    plain, trials, points = [], [], []
+    for a in ascents:
+        if len(a.path) == 3:
+            w0, w1, w2 = a.path
+            a.path = [w2]
             r = w1 - w0
             v = w2 - w1 - r
             nr, nv = np.linalg.norm(r), np.linalg.norm(v)
-            if not nr > nv > 0:
-                continue  # alpha = -1: the S3 point is w2 itself
-            alpha = -nr / nv
-            x, _, yh = np.linalg.svd(w0 - 2 * alpha * r + alpha**2 * v, full_matrices=False)
-            trial = _mm_steps(ops, rho, x @ yh)
-            wx, fx = next(trial)
-            n += 1
-            if fx > value:
-                steps, w, value, path = trial, wx, fx, [wx]
-                yield n, w, value
-            continue
-        w, value = next(steps)
-        n += 1
-        path = [w] if n <= WARMUP else path + [w]
-        yield n, w, value
+            if nr > nv > 0:
+                alpha = -nr / nv
+                trials.append(a)
+                points.append(w0 - 2 * alpha * r + alpha**2 * v)
+                continue
+        plain.append(a)
+    new = []
+    if plain:
+        flat_t = ops_rho.reshape(len(ops_rho), -1).T
+        g = np.stack([a.t for a in plain])[:, :, None] * (np.stack([a.u for a in plain]) @ flat_t)
+        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
+        new.append((gx @ gyh).conj())
+    if trials:
+        x, _, yh = np.linalg.svd(np.stack(points), full_matrices=False)
+        new.append(x @ yh)
+    w = new[0] if len(new) == 1 else np.concatenate(new)
+    values, t, u = _evaluate(ops_rho, w)
+    accepted = []
+    for i, a in enumerate(plain + trials):
+        a.n += 1
+        value = float(values[i])
+        is_plain = i < len(plain)
+        if is_plain or value > a.value:
+            accepted.append((a, a.value))
+            a.w, a.value, a.t, a.u = w[i], value, t[i], u[i]
+            if is_plain and a.n > WARMUP:
+                a.path.append(w[i])
+            else:
+                a.path = [w[i]]
+    return accepted
 
 
-def _ascend(ops, rho, w, max_iters, tol, restart, trace):
-    """Ascent from ``w`` until |dF| < tol; returns (w, value, converged).
+def _ascend(ops_rho, starts, budget, tol):
+    """Guarded ascent from every start in lockstep, each until |dF| < tol or ``budget`` evaluations.
 
-    Appends one (restart, evaluation, value) row per accepted point to ``trace``.
+    Each ascent records one (evaluation, value) row per accepted point and
+    leaves the stack when it stops.
     """
-    points = _accelerated_steps(ops, rho, w, max_iters)
-    _, w, value = next(points)
-    trace.append((restart, 0, value))
-    for n, new_w, new_value in points:
-        trace.append((restart, n, new_value))
-        done = abs(new_value - value) < tol
-        w, value = new_w, new_value
-        if done:
-            return w, value, True
-    return w, value, False
+    ascents = _begin(ops_rho, starts)
+    active = ascents if budget > 0 else []
+    while active:
+        for a, previous in _round(ops_rho, active):
+            a.rows.append((a.n, a.value))
+            a.converged = abs(a.value - previous) < tol
+        running = []
+        for a in active:
+            if a.converged or a.n >= budget:
+                # keep this ascent's own point, not the stacked arrays of its round
+                a.w, a.t, a.u, a.path = a.w.copy(), None, None, None
+            else:
+                running.append(a)
+        active = running
+    return ascents
 
 
-def _polish(ops, rho, w, iters):
+def _polish(ops_rho, w, iters):
     """Ascent from ``w`` while F strictly increases; returns the last increasing (w, value)."""
-    points = _accelerated_steps(ops, rho, w, iters)
-    _, w, value = next(points)
-    for _, new_w, new_value in points:
-        if not new_value > value:
-            break
-        w, value = new_w, new_value
-    return w, value
+    (a,) = _begin(ops_rho, [w])
+    while a.n < iters:
+        w, value = a.w, a.value
+        if _round(ops_rho, [a]) and not a.value > value:
+            return w, value
+    return a.w, a.value
 
 
 def _maximally_mixed(d: int) -> np.ndarray:
@@ -205,6 +251,15 @@ def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
     return (x @ yh).astype(complex)
 
 
+def _start(r: int, m: int, kk: int, seed: int) -> np.ndarray:
+    """Restart r's first mixing: W = I, then the perturbed identity, then seeded Haar isometries."""
+    if r == 0:
+        return _identity_start(m, kk)
+    if r == 1:
+        return _perturbed_identity_start(m, kk)
+    return numerics.haar_isometry(m, kk, np.random.default_rng([seed, r]))
+
+
 def optimize_erasure(
     channel: KrausChannel,
     rho=None,
@@ -221,31 +276,33 @@ def optimize_erasure(
     count. Restart r > 1 starts from the Haar isometry seeded by (seed, r);
     restarts tied within 1e-12 are resolved toward the lowest index, so
     results are deterministic and independent of any execution order.
-    Raises ParamOutOfRange when ``restarts < 1`` or ``max_iters < 0``.
+    Raises ParamOutOfRange when ``restarts < 1``, ``max_iters < 0`` or ``tol``
+    is negative or NaN.
     """
     validate(channel)
-    if restarts < 1 or max_iters < 0:
-        raise ParamOutOfRange(f"need restarts >= 1 and max_iters >= 0, got {restarts}, {max_iters}")
+    if restarts < 1 or max_iters < 0 or not tol >= 0:
+        raise ParamOutOfRange(
+            f"need restarts >= 1, max_iters >= 0 and tol >= 0, got {restarts}, {max_iters}, {tol}"
+        )
     rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
     kk = channel.kraus_count
     m = kk if outcomes is None else int(outcomes)
     if m < kk:
         raise BadOutcomeCount(f"need at least {kk} outcomes, got {m}")
-    _check_entries(m * max(kk, channel.dim**2), f"{m} outcomes")
-    ops = channel.stack
+    entries = m * max(kk, channel.dim**2)
+    _check_entries(entries, f"{m} outcomes")
+    ops_rho = channel.stack @ rho
+    group = max(1, GROUP_ENTRIES // entries)
 
     trace: list[tuple[int, int, float]] = []
     best_w, best_value, best_converged = None, -np.inf, False
-    for r in range(restarts):
-        if r == 0:
-            w0 = _identity_start(m, kk)
-        elif r == 1:
-            w0 = _perturbed_identity_start(m, kk)
-        else:
-            w0 = numerics.haar_isometry(m, kk, np.random.default_rng([seed, r]))
-        w, value, converged = _ascend(ops, rho, w0, max_iters, tol, r, trace)
-        if value > best_value + RESTART_TIE_ATOL:
-            best_w, best_value, best_converged = w, value, converged
+    for first in range(0, restarts, group):
+        indices = range(first, min(first + group, restarts))
+        starts = [_start(r, m, kk, seed) for r in indices]
+        for r, a in zip(indices, _ascend(ops_rho, starts, max_iters, tol)):
+            trace += [(r, n, value) for n, value in a.rows]
+            if a.value > best_value + RESTART_TIE_ATOL:
+                best_w, best_value, best_converged = a.w, a.value, a.converged
     return OptimizationResult(
         best_mixing=probe_measurement(best_w),
         best_value=best_value,
@@ -313,7 +370,7 @@ def detect_random_unitary(
     if not reusable:
         result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
     ops = channel.stack
-    w, best_value = _polish(ops, rho, result.best_mixing.mixing, POLISH_ITERS)
+    w, best_value = _polish(ops @ rho, result.best_mixing.mixing, POLISH_ITERS)
 
     branches = np.einsum("jk,kab->jab", w, ops)
     probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d

@@ -24,6 +24,7 @@ from .errors import (
     NotIsometry,
     NotNormalized,
     NotPSD,
+    ParamOutOfRange,
     SingularAverage,
 )
 
@@ -189,11 +190,12 @@ def random_ensemble(rho, members: int, seed) -> Ensemble:
     Ginibre-random PSD pieces are conjugated into a resolution of the support
     of rho, then blended with the uniform split by ENSEMBLE_FLOOR so no weight can
     collapse to zero. The pieces are drawn and conjugated as one stack; the
-    request size is checked before anything is drawn.
+    request size is checked before anything is drawn. Raises ParamOutOfRange
+    when ``members < 1``.
     """
     rho = numerics.ensure_density(rho)
     if members < 1:
-        raise DimensionMismatch(f"need at least one member, got {members}")
+        raise ParamOutOfRange(f"need at least one member, got {members}")
     d = rho.shape[0]
     _check_entries(members * d * d, f"random_ensemble(members={members}) in dimension {d}")
     rng = numerics._rng(seed)

@@ -69,7 +69,12 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8
 
 
 def scenario_curve(name: str, points: int | None = None, seed: int = 0, restarts: int = 8):
-    """Dispatch by scenario name; returns (column names, rows)."""
+    """Dispatch by scenario name; returns (column names, rows).
+
+    Raises ParamOutOfRange when ``restarts < 1``, whichever the name.
+    """
+    if restarts < 1:
+        raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")
     if name == "eraser":
         return ERASER_COLUMNS, eraser_curve(ERASER_GRID if points is None else points, seed)
     if name == "teleport":

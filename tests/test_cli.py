@@ -85,6 +85,15 @@ class TestAnalyze:
         assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("members", ["0", "-3"])
+    def test_members_below_one(self, tmp_path, capsys, members):
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--preset", "dephasing", "--members", members, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_broken_channel_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -231,6 +240,20 @@ class TestScenario:
         assert "at least 2 points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["eraser", "teleport"])
+    @pytest.mark.parametrize("restarts", ["0", "-4"])
+    def test_restarts_below_one(self, tmp_path, capsys, monkeypatch, name, restarts):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a channel before the restart check")
+
+        monkeypatch.setattr("erasurekit.scenarios.preset", refuse)
+        out = tmp_path / "x.csv"
+        argv = ["scenario", "--name", name, "--restarts", restarts, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_short_sweep_passes(self, tmp_path, capsys):
@@ -348,6 +371,8 @@ class TestOptimize:
             ("--iters", "-1"),
             ("--oracle", "-5"),
             ("--outcomes", "-2"),
+            ("--tol", "nan"),
+            ("--tol", "-1"),
         ],
     )
     def test_budget_out_of_range(self, tmp_path, capsys, flag, value):

@@ -1,4 +1,4 @@
-import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from erasurekit import (
     kraus_channel,
     numerics,
     optimize_erasure,
+    optimizer,
     preset,
     probe_measurement,
     random_measurement,
@@ -20,7 +21,16 @@ from erasurekit import (
 )
 from erasurekit.channels import PAULI_Z
 from erasurekit.errors import BadOutcomeCount, DimensionMismatch, ParamOutOfRange
-from erasurekit.optimizer import WARMUP, _ascend, _mm_steps, _polish
+from erasurekit.optimizer import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    RESTART_TIE_ATOL,
+    WARMUP,
+    _ascend,
+    _polish,
+    _start,
+)
 
 MIXED = np.eye(2, dtype=complex) / 2
 
@@ -104,7 +114,10 @@ class TestOptimizeErasure:
         with pytest.raises(BadOutcomeCount):
             optimize_erasure(projector_channel(), MIXED, 1)
 
-    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -3}, {"max_iters": -1}])
+    @pytest.mark.parametrize(
+        "budget",
+        [{"restarts": 0}, {"restarts": -3}, {"max_iters": -1}, {"tol": -1.0}, {"tol": np.nan}],
+    )
     def test_budget_out_of_range(self, budget):
         with pytest.raises(ParamOutOfRange):
             optimize_erasure(projector_channel(), **budget)
@@ -387,18 +400,39 @@ def _evaluations(trace, max_iters, tol):
     return total
 
 
+def _plain_search(ch, restarts, seed):
+    # optimize_erasure's search, made of the same starts on the plain reference ascent
+    ops = np.stack(ch.operators)
+    rho = np.eye(ch.dim, dtype=complex) / ch.dim
+    kk = ch.kraus_count
+    trace, best_value, converged = [], -np.inf, False
+    for r in range(restarts):
+        w0 = _start(r, kk, kk, seed)
+        _, value, done = _reference_ascend(ops, rho, w0, DEFAULT_MAX_ITERS, DEFAULT_TOL, r, trace)
+        if value > best_value + RESTART_TIE_ATOL:
+            best_value, converged = value, done
+    return SimpleNamespace(best_value=best_value, converged=converged, trace=trace)
+
+
+def _ascend_rows(ascents):
+    return [[(r, n, value) for n, value in a.rows] for r, a in enumerate(ascents)]
+
+
 class TestFusedKernel:
-    def test_kernel_yields_the_reference_trajectory(self):
+    def test_kernel_yields_the_reference_trajectory(self, monkeypatch):
+        # a warm-up longer than the budget leaves the whole ascent on plain MM steps
+        monkeypatch.setattr(optimizer, "WARMUP", 60)
         for trial, ch in enumerate(_seeded_channels(6, 30)):
             ops = np.stack(ch.operators)
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             kk = ch.kraus_count
-            w0 = haar_isometry(kk, kk, np.random.default_rng([trial, 0]))
-            reference = []
-            w_ref, _, _ = _reference_ascend(ops, rho, w0, 60, 0.0, 0, reference)
-            points = list(itertools.islice(_mm_steps(ops, rho, w0), 61))
-            _assert_same_rows([(0, i, v) for i, (_, v) in enumerate(points)], reference)
-            assert np.array_equal(points[-1][0], w_ref)
+            starts = [haar_isometry(kk, kk, np.random.default_rng([trial, r])) for r in range(3)]
+            ascents = _ascend(ops @ rho, starts, 60, 0.0)
+            for restart, (w0, rows, a) in enumerate(zip(starts, _ascend_rows(ascents), ascents)):
+                reference = []
+                w_ref, _, _ = _reference_ascend(ops, rho, w0, 60, 0.0, restart, reference)
+                _assert_same_rows(rows, reference)
+                assert np.array_equal(a.w, w_ref)
 
     def test_flat_contractions_match_the_einsum_forms(self):
         for trial, ch in enumerate(_seeded_channels(6, 30)):
@@ -420,23 +454,23 @@ class TestFusedKernel:
             ops = np.stack(ch.operators)
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             kk = ch.kraus_count
-            for restart in range(4):
-                w0 = haar_isometry(kk, kk, np.random.default_rng([trial, restart]))
-                trace, reference = [], []
-                w, _, converged = _ascend(ops, rho, w0, budget, 0.0, restart, trace)
+            starts = [haar_isometry(kk, kk, np.random.default_rng([trial, r])) for r in range(4)]
+            ascents = _ascend(ops @ rho, starts, budget, 0.0)
+            for restart, (w0, rows, a) in enumerate(zip(starts, _ascend_rows(ascents), ascents)):
+                reference = []
                 w_ref, _, converged_ref = _reference_ascend(
                     ops, rho, w0, budget, 0.0, restart, reference
                 )
-                _assert_same_rows(trace, reference)
-                assert converged == converged_ref
-                assert np.array_equal(w, w_ref)
+                _assert_same_rows(rows, reference)
+                assert a.converged == converged_ref
+                assert np.array_equal(a.w, w_ref)
 
     def test_polish_within_warmup_equals_reference(self):
         for trial, ch in enumerate(_seeded_channels(6, 31)):
             ops = np.stack(ch.operators)
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             start = optimize_erasure(ch, restarts=2, max_iters=5, seed=trial).best_mixing.mixing
-            w, value = _polish(ops, rho, start, WARMUP)
+            w, value = _polish(ops @ rho, start, WARMUP)
             w_ref, value_ref = _reference_polish(ops, rho, start, WARMUP)
             assert abs(value - value_ref) <= 1e-14
             assert np.array_equal(w, w_ref)
@@ -445,10 +479,9 @@ class TestFusedKernel:
         ch = preset("random", dim=3, kraus=5, seed=32)
         ops = np.stack(ch.operators)
         rho = np.eye(3, dtype=complex) / 3
-        trace = []
         # tol = 0 never stops, so the ascent spends its whole budget
-        _ascend(ops, rho, np.eye(5, dtype=complex), 40, 0.0, 0, trace)
-        assert trace[-1][1] <= 40
+        (ascent,) = _ascend(ops @ rho, [np.eye(5, dtype=complex)], 40, 0.0)
+        assert ascent.rows[-1][0] <= 40
         assert len(svd_calls) == 1 + 2 * 40
 
         svd_calls.clear()
@@ -457,6 +490,11 @@ class TestFusedKernel:
         evaluations = _evaluations(result.trace, max_iters, tol)
         # + 1: building the perturbed-identity start of restart 1 takes one SVD
         assert len(svd_calls) <= 2 * evaluations + restarts + 1
+        # in lockstep, a round makes at most three stacked SVDs: the plain
+        # steps' G, the S3 retractions and the branches of every new point
+        rounds = max(_evaluations([row for row in result.trace if row[0] == r], max_iters, tol)
+                     for r in range(restarts))
+        assert len(svd_calls) <= 1 + 1 + 3 * rounds
 
     def test_two_svds_per_polish_step(self, svd_calls, monkeypatch):
         ch = preset("random", dim=3, kraus=5, seed=33)
@@ -468,21 +506,70 @@ class TestFusedKernel:
         assert not verdict.is_random_unitary
         assert len(svd_calls) <= 1 + 2 * polish_iters
 
-    def test_extrapolation_converges_where_plain_mm_stalls(self, monkeypatch):
+    def test_extrapolation_converges_where_plain_mm_stalls(self):
         ch = preset("random", dim=4, kraus=16, seed=0)
         result = optimize_erasure(ch, restarts=3, seed=0)
-        with monkeypatch.context() as patch:
-            patch.setattr("erasurekit.optimizer._ascend", _reference_ascend)
-            plain = optimize_erasure(ch, restarts=3, seed=0)
+        plain = _plain_search(ch, restarts=3, seed=0)
         assert result.converged and not plain.converged
         assert len(result.trace) < len(plain.trace) / 2
         assert result.best_value >= plain.best_value
 
-    def test_extrapolation_keeps_the_plain_search_quality(self, monkeypatch):
+    def test_extrapolation_keeps_the_plain_search_quality(self):
         accelerated, plain = 0.0, 0.0
         for trial, ch in enumerate(_seeded_channels(6, 30)):
             accelerated += optimize_erasure(ch, seed=trial).best_value
-            with monkeypatch.context() as patch:
-                patch.setattr("erasurekit.optimizer._ascend", _reference_ascend)
-                plain += optimize_erasure(ch, seed=trial).best_value
+            plain += _plain_search(ch, DEFAULT_RESTARTS, trial).best_value
         assert accelerated >= plain - 1e-12
+
+
+def _lockstep_cases():
+    # (channel, max_iters, tol): seeded random channels on a short budget, so
+    # that restarts end on the cap, and the qubit presets the scenarios search,
+    # which converge. At tol = 0 every restart runs its whole budget, and
+    # restarts that meet alpha = -1 take plain steps in rounds where others
+    # take S3 trials.
+    qubits = [preset("depolarizing", p=0.5), preset("partial_teleportation", lam0=0.3)]
+    cases = [(ch, 40, DEFAULT_TOL) for ch in _seeded_channels(6, 30)]
+    cases += [(ch, DEFAULT_MAX_ITERS, DEFAULT_TOL) for ch in qubits]
+    return cases + [(ch, 40, 0.0) for ch in [*_seeded_channels(2, 35), *qubits]]
+
+
+def _bits(result):
+    trace = [(r, i, v.hex()) for r, i, v in result.trace]
+    return trace, result.best_value.hex(), result.best_mixing.mixing.tobytes(), result.converged
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 8, 32])
+    def test_groups_of_one_restart_give_the_same_search(self, restarts, monkeypatch):
+        capped = rejected = 0
+        for seed, (ch, max_iters, tol) in enumerate(_lockstep_cases()):
+            budget = {"restarts": restarts, "max_iters": max_iters, "tol": tol, "seed": seed}
+            stacked = optimize_erasure(ch, **budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "GROUP_ENTRIES", 1)
+                alone = optimize_erasure(ch, **budget)
+            assert _bits(stacked) == _bits(alone)
+            for r in range(restarts):
+                indices = [i for restart, i, _ in stacked.trace if restart == r]
+                capped += indices[-1] == max_iters
+                # a trace index skips a number where an S3 trial was rejected
+                rejected += indices != list(range(len(indices)))
+        assert capped and rejected
+
+    def test_no_stacked_svd_exceeds_the_group_budget(self, monkeypatch):
+        ch = preset("random", dim=3, kraus=5, seed=34)
+        restarts, entries = 8, 5 * 9  # m * max(K, d^2) per restart
+        reference = optimize_erasure(ch, restarts=restarts, max_iters=60, seed=2)
+        sizes, real_svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            sizes.append(np.asarray(a).size)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(optimizer, "GROUP_ENTRIES", 3 * entries)
+        grouped = optimize_erasure(ch, restarts=restarts, max_iters=60, seed=2)
+        assert _bits(grouped) == _bits(reference)
+        assert max(sizes) <= 3 * entries
+        assert max(sizes) > entries  # some call stacked more than one restart

@@ -25,6 +25,7 @@ from erasurekit.errors import (
     InsufficientFrame,
     NotIsometry,
     NotNormalized,
+    ParamOutOfRange,
 )
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -125,6 +126,11 @@ class TestEnsemble:
             assert ens.beta >= 0.01 / n - 1e-12
             for m in ens.members:
                 assert np.linalg.eigvalsh((m + m.conj().T) / 2).min() > -1e-10
+
+    @pytest.mark.parametrize("members", [0, -3])
+    def test_random_ensemble_needs_a_member(self, members):
+        with pytest.raises(ParamOutOfRange):
+            random_ensemble(np.eye(2) / 2, members, 0)
 
 
 class TestJointDistribution:
