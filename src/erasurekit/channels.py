@@ -10,6 +10,7 @@ map are different probe configurations even though they are channel-equal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -205,6 +206,15 @@ def channels_equal(a: KrausChannel, b: KrausChannel) -> bool:
     return choi_distance(a, b) <= CHOI_ATOL
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; an integral float passes, anything else is refused."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParamOutOfRange(f"{name} must be an integer, got {value!r}")
+
+
 def _check_unit_interval(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -249,7 +259,7 @@ def preset(name: str, **params) -> KrausChannel:
 
     if name == "identity":
         p = take({"dim": 2})
-        d = int(p["dim"])
+        d = _check_integer("dim", p["dim"])
         if d < 1:
             raise ParamOutOfRange(f"dim must be >= 1, got {d}")
         _check_entries(d * d, f"identity(dim={d})")
@@ -279,7 +289,7 @@ def preset(name: str, **params) -> KrausChannel:
         paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
         return kraus_channel([dd @ s / np.sqrt(2) for s in paulis])
     p = take({"dim": 2, "kraus": 2, "seed": 0})
-    d, kk = int(p["dim"]), int(p["kraus"])
+    d, kk = _check_integer("dim", p["dim"]), _check_integer("kraus", p["kraus"])
     if d < 1 or kk < 1:
         raise ParamOutOfRange(f"random preset needs dim >= 1 and kraus >= 1, got {d}, {kk}")
     _check_entries(d * d * kk, f"random(dim={d}, kraus={kk})")

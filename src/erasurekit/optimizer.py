@@ -10,9 +10,12 @@ its exact maximizer over isometries is the (conjugated) polar factor of the
 m x K coefficient matrix G[j, k] = t_j Tr[V_j^dag E_k rho]. Each step is
 therefore nondecreasing in F.
 
-Each step makes exactly one SVD of the branches E'_j rho. Its singular values
-give the value F(W) = sum_j (sum of singular values)^2 and its polar factors
-V_j build the next G, so F is never evaluated apart from the step.
+Each step decomposes the branches E'_j rho exactly once, with
+``numerics._polar_factors``: their trace norms give the value
+F(W) = sum_j t_j^2 and their polar factors V_j build the next G, so F is
+never evaluated apart from the step. Qubit branches, and 2 x 2 G matrices
+and S3 points, take that kernel's closed form; every other shape takes one
+stacked SVD.
 
 Plain MM converges only linearly, so the ascent is accelerated by guarded
 SQUAREM extrapolation (scheme S3 of Varadhan & Roland, Scand. J. Stat. 35,
@@ -21,22 +24,27 @@ first WARMUP steps are plain MM steps. After them, every two plain steps
 w0 -> w1 -> w2 are followed by one S3 step: with r = w1 - w0,
 v = w2 - w1 - r and alpha = min(-|r|/|v|, -1), the extrapolated mixing is
 the polar factor of w0 - 2 alpha r + alpha^2 v, and its value is read from
-the branch SVD made at that point. The ascent continues from
+the branch evaluation made at that point. The ascent continues from
 the extrapolated mixing only if its value beats F(w2); otherwise it resumes
 the plain steps at w2, so every accepted value is nondecreasing. When
 alpha = -1 the S3 point is w2 itself and nothing is evaluated. Iteration
-budgets and trace indices count branch-SVD evaluations, so a trace index
+budgets and trace indices count branch evaluations, so a trace index
 skips a number where an extrapolation was rejected.
 
-All restarts of one search advance in lockstep, in rounds. In each round
-every running restart makes one evaluation: its plain MM step or its S3
-trial. The plain steps share one stacked SVD of G, the S3 trials one stacked
-retraction SVD, and all new points one stacked branch SVD; then each restart
-applies its own guard, path, budget and stop rule, and leaves the stack when
-it stops. Stacked LAPACK calls return the same bits as per-matrix calls, so
-every restart follows the trajectory it would follow alone. Restarts run in
-groups whose stacked arrays stay within GROUP_ENTRIES complex entries; a
-problem larger than that runs one restart per group.
+All restarts of a search advance in lockstep, in rounds, and so do the
+searches of several problems of one shape (the teleport sweep's grid
+points): each ascent carries its own operators E_k rho. In each round every
+running ascent makes one evaluation: its plain MM step or its S3 trial. The
+plain steps share one stacked polar factor of G, the S3 trials one stacked
+retraction, and all new points one stacked branch evaluation; then each
+ascent applies its own guard, path, budget and stop rule, and leaves the
+stack when it stops. Stacked kernels return the same bits as per-matrix
+calls, so every ascent follows the trajectory it would follow alone, and a
+search of one problem stacks its operators once, not per round. Ascents run
+in groups whose stacked arrays stay within GROUP_ENTRIES complex entries:
+whole problems with all their restarts, or one problem with a run of its
+restarts. Restart r's first point depends only on (r, m, K, seed), so a
+group draws it once and shares it among its problems.
 
 The ascent in ``optimize_erasure`` and the polish in ``detect_random_unitary``
 walk the same accelerated loop and differ only in their stop rules. The
@@ -76,8 +84,8 @@ RESTART_TIE_ATOL = 1e-12
 # them takes exactly the plain MM trajectory.
 WARMUP = 10
 
-# Complex entries that one lockstep group of restarts may stack, at
-# m * max(K, d^2) per restart; bounds the memory a search's stacks take.
+# Complex entries that one lockstep group of ascents may stack, at
+# m * max(K, d^2) per ascent; bounds the memory a search's stacks take.
 GROUP_ENTRIES = 2**16
 
 # Perfect erasure: the optimum, polished for at most POLISH_ITERS evaluations, is
@@ -117,47 +125,62 @@ class RandomUnitaryVerdict:
 
 
 class _Ascent:
-    """One restart's guarded ascent: its accepted point and value, the branch data
-    its next plain step needs, its S3 path, evaluations made, and trace rows."""
+    """One restart's guarded ascent on one problem: the operators E_k rho it searches,
+    its accepted point and value, the branch data its next plain step needs, its S3
+    path, evaluations made, and trace rows."""
 
-    __slots__ = ("w", "value", "t", "u", "path", "n", "rows", "converged")
+    __slots__ = ("ops", "w", "value", "t", "u", "path", "n", "rows", "converged")
 
-    def __init__(self, w, value, t, u):
-        self.w, self.value, self.t, self.u = w, value, t, u
+    def __init__(self, ops, w, value, t, u):
+        self.ops, self.w, self.value, self.t, self.u = ops, w, value, t, u
         self.path = [w]  # plain points since the last extrapolation base, base first
         self.n = 0
         self.rows = [(0, value)]
         self.converged = False
 
 
-def _evaluate(ops_rho, w):
-    """One stacked branch SVD at the mixings ``w`` of shape (n, m, K).
-
-    Returns F at each mixing, the branch trace norms t (n, m) and the
-    conjugated branch polar factors u (n, m, d*d), from which the next MM step
-    builds G.
-    """
-    kk, d, _ = ops_rho.shape
+def _flat(ops):
     # row k of the flat operators is E_k rho, so W @ flat stacks the branches E'_j rho
-    x, s, yh = np.linalg.svd((w @ ops_rho.reshape(kk, d * d)).reshape(-1, d, d))
-    t = s.sum(axis=1).reshape(len(w), -1)
-    return (t**2).sum(axis=1), t, (x @ yh).conj().reshape(len(w), -1, d * d)
+    return ops.reshape(*ops.shape[:-2], -1)
 
 
-def _begin(ops_rho, starts):
-    """Ascents at ``starts``, evaluated in one stacked branch SVD."""
-    w = np.stack(starts)
-    values, t, u = _evaluate(ops_rho, w)
-    return [_Ascent(w[i], float(values[i]), t[i], u[i]) for i in range(len(w))]
+def _operators(ascents, shared):
+    """The operators of ``ascents``: ``shared`` when one problem is searched, else one per ascent."""
+    return shared if shared is not None else np.stack([a.ops for a in ascents])
 
 
-def _round(ops_rho, ascents):
+def _evaluate(ops, w):
+    """One stacked branch evaluation at the mixings ``w`` of shape (n, m, K).
+
+    ``ops`` holds the operators E_k rho, shared (K, d, d) or one per mixing
+    (n, K, d, d). Returns F at each mixing, the branch trace norms t (n, m) and
+    the conjugated branch polar factors u (n, m, d*d), from which the next MM
+    step builds G.
+    """
+    d = ops.shape[-1]
+    t, v = numerics._polar_factors((w @ _flat(ops)).reshape(-1, d, d))
+    t = t.reshape(len(w), -1)
+    return (t**2).sum(axis=1), t, v.conj().reshape(len(w), -1, d * d)
+
+
+def _begin(problems, starts):
+    """Ascents from every start on every problem, problem by problem, in one stacked evaluation."""
+    w = np.stack(starts * len(problems))
+    ops = problems[0] if len(problems) == 1 else np.repeat(np.stack(problems), len(starts), axis=0)
+    values, t, u = _evaluate(ops, w)
+    ascent_ops = [p for p in problems for _ in starts]
+    return [_Ascent(ascent_ops[i], w[i], float(values[i]), t[i], u[i]) for i in range(len(w))]
+
+
+def _round(ascents, shared):
     """Make one evaluation for every ascent; returns (ascent, previous value) per accepted point.
 
     An ascent whose path holds w0 -> w1 -> w2 evaluates its S3 point, unless
     alpha = -1 makes that point w2 itself; every other ascent takes its plain
-    MM step. The plain steps share one stacked SVD of G, the S3 points one
-    stacked retraction SVD, and all new points one stacked branch SVD.
+    MM step. The plain steps share one stacked polar factor of G, the S3
+    points one stacked retraction, and all new points one stacked branch
+    evaluation. ``shared`` holds the operators when every ascent searches
+    the same problem.
     """
     plain, trials, points = [], [], []
     for a in ascents:
@@ -175,17 +198,16 @@ def _round(ops_rho, ascents):
         plain.append(a)
     new = []
     if plain:
-        flat_t = ops_rho.reshape(len(ops_rho), -1).T
+        flat_t = _flat(_operators(plain, shared)).swapaxes(-1, -2)
         g = np.stack([a.t for a in plain])[:, :, None] * (np.stack([a.u for a in plain]) @ flat_t)
-        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
-        new.append((gx @ gyh).conj())
+        new.append(numerics._polar_factors(g)[1].conj())
     if trials:
-        x, _, yh = np.linalg.svd(np.stack(points), full_matrices=False)
-        new.append(x @ yh)
+        new.append(numerics._polar_factors(np.stack(points))[1])
     w = new[0] if len(new) == 1 else np.concatenate(new)
-    values, t, u = _evaluate(ops_rho, w)
+    stepped = plain + trials
+    values, t, u = _evaluate(_operators(stepped, shared), w)
     accepted = []
-    for i, a in enumerate(plain + trials):
+    for i, a in enumerate(stepped):
         a.n += 1
         value = float(values[i])
         is_plain = i < len(plain)
@@ -199,16 +221,18 @@ def _round(ops_rho, ascents):
     return accepted
 
 
-def _ascend(ops_rho, starts, budget, tol):
-    """Guarded ascent from every start in lockstep, each until |dF| < tol or ``budget`` evaluations.
+def _ascend(problems, starts, budget, tol):
+    """Guarded ascent from every start on every problem in lockstep, each until
+    |dF| < tol or ``budget`` evaluations; ascents come problem by problem.
 
     Each ascent records one (evaluation, value) row per accepted point and
     leaves the stack when it stops.
     """
-    ascents = _begin(ops_rho, starts)
+    shared = problems[0] if len(problems) == 1 else None
+    ascents = _begin(problems, starts)
     active = ascents if budget > 0 else []
     while active:
-        for a, previous in _round(ops_rho, active):
+        for a, previous in _round(active, shared):
             a.rows.append((a.n, a.value))
             a.converged = abs(a.value - previous) < tol
         running = []
@@ -224,10 +248,10 @@ def _ascend(ops_rho, starts, budget, tol):
 
 def _polish(ops_rho, w, iters):
     """Ascent from ``w`` while F strictly increases; returns the last increasing (w, value)."""
-    (a,) = _begin(ops_rho, [w])
+    (a,) = _begin([ops_rho], [w])
     while a.n < iters:
         w, value = a.w, a.value
-        if _round(ops_rho, [a]) and not a.value > value:
+        if _round([a], ops_rho) and not a.value > value:
             return w, value
     return a.w, a.value
 
@@ -289,34 +313,56 @@ def optimize_erasure(
     m = kk if outcomes is None else int(outcomes)
     if m < kk:
         raise BadOutcomeCount(f"need at least {kk} outcomes, got {m}")
-    entries = m * max(kk, channel.dim**2)
-    _check_entries(entries, f"{m} outcomes")
-    ops_rho = channel.stack @ rho
-    group = max(1, GROUP_ENTRIES // entries)
-
-    trace: list[tuple[int, int, float]] = []
-    best_w, best_value, best_converged = None, -np.inf, False
-    for first in range(0, restarts, group):
-        indices = range(first, min(first + group, restarts))
-        starts = [_start(r, m, kk, seed) for r in indices]
-        for r, a in zip(indices, _ascend(ops_rho, starts, max_iters, tol)):
-            trace += [(r, n, value) for n, value in a.rows]
-            if a.value > best_value + RESTART_TIE_ATOL:
-                best_w, best_value, best_converged = a.w, a.value, a.converged
+    _check_entries(m * max(kk, channel.dim**2), f"{m} outcomes")
+    ((best_w, best_value, converged, trace),) = _search(
+        [channel.stack @ rho], m, restarts, max_iters, tol, seed
+    )
     return OptimizationResult(
         best_mixing=probe_measurement(best_w),
         best_value=best_value,
         trace=tuple(trace),
-        converged=best_converged,
+        converged=converged,
         state=numerics._read_only(rho.copy()),
     )
+
+
+def _search(problems, m, restarts, max_iters, tol, seed):
+    """The erasure search of ``optimize_erasure`` on each of several problems of one shape.
+
+    Each problem is the stack of operators E_k rho, all of one shape (K, d, d),
+    searched over m-outcome mixings. Yields, problem by problem, the best
+    mixing, its value, whether it converged, and the trace rows, each as soon
+    as its group is done, so a caller that keeps only values holds no trace
+    beyond one group's. Ascents run in lockstep groups of whole problems with
+    all their restarts, or of one problem with a run of its restarts, within
+    GROUP_ENTRIES; restart r's first point depends only on (r, m, K, seed), so
+    it is drawn once per group and shared by the group's problems.
+    """
+    kk, d, _ = problems[0].shape
+    group = max(1, GROUP_ENTRIES // (m * max(kk, d * d)))
+    chunk = min(restarts, group)  # restarts per group
+    span = max(1, group // restarts)  # problems per group
+    for first_problem in range(0, len(problems), span):
+        batch = problems[first_problem : first_problem + span]
+        best = [[None, -np.inf, False, []] for _ in batch]
+        for first in range(0, restarts, chunk):
+            indices = range(first, min(first + chunk, restarts))
+            starts = [_start(r, m, kk, seed) for r in indices]
+            ascents = iter(_ascend(batch, starts, max_iters, tol))
+            for entry in best:
+                for r, a in zip(indices, ascents):
+                    entry[3] += [(r, n, value) for n, value in a.rows]
+                    if a.value > entry[1] + RESTART_TIE_ATOL:
+                        entry[:3] = a.w, a.value, a.converged
+        yield from map(tuple, best)
 
 
 def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int = 0) -> float:
     """Brute-force baseline: max assisted fidelity over Haar-random square mixings.
 
     Independent of the ascent path (direct trace-norm evaluation on sampled
-    unitaries, in closed form for 2 x 2 branches); deterministic for a fixed seed.
+    unitaries; 2 x 2 draws and branches take closed forms); deterministic for
+    a fixed seed.
     """
     validate(channel)
     rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)

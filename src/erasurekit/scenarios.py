@@ -17,7 +17,7 @@ import numpy as np
 from .channels import _check_entries, preset
 from .erasure import assisted_fidelity
 from .errors import ParamOutOfRange, UnknownScenario
-from .optimizer import optimize_erasure
+from .optimizer import DEFAULT_MAX_ITERS, DEFAULT_TOL, _search
 from .probes import joint_distribution, mutual_information, random_ensemble, rotation_measurement
 
 ERASER_GRID = 33
@@ -54,18 +54,24 @@ def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
 
 
 def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8):
-    """Rows (lambda0, f_ea_canonical, f_ea_optimized) over lambda0 in [0, 1]."""
+    """Rows (lambda0, f_ea_canonical, f_ea_optimized) over lambda0 in [0, 1].
+
+    f_ea_optimized is ``optimize_erasure(channel, rho, restarts=restarts,
+    seed=seed).best_value`` at each grid point, bit for bit; the searches of
+    all grid points run as one lockstep search. Raises ParamOutOfRange when
+    ``restarts < 1``.
+    """
     grid = _grid(0.0, 1.0, points)
+    if restarts < 1:
+        raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")
     rho = np.eye(2, dtype=complex) / 2
-    rows = []
+    canonical, problems = [], []
     for lam0 in grid:
         channel = preset("partial_teleportation", lam0=float(lam0))
-        f_canonical = assisted_fidelity(channel, rho)
-        f_optimized = optimize_erasure(
-            channel, rho, restarts=restarts, seed=seed
-        ).best_value
-        rows.append((float(lam0), f_canonical, f_optimized))
-    return rows
+        canonical.append((float(lam0), assisted_fidelity(channel, rho)))
+        problems.append(channel.stack @ rho)
+    searches = _search(problems, len(problems[0]), restarts, DEFAULT_MAX_ITERS, DEFAULT_TOL, seed)
+    return [(*row, best_value) for row, (_, best_value, _, _) in zip(canonical, searches)]
 
 
 def scenario_curve(name: str, points: int | None = None, seed: int = 0, restarts: int = 8):

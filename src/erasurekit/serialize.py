@@ -9,11 +9,12 @@ is key-sorted, making repeated runs byte-identical.
 from __future__ import annotations
 
 import json
+from numbers import Real
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_channel, preset
-from .errors import DimensionMismatch, ErasureKitError
+from .channels import KrausChannel, _check_integer, kraus_channel, preset
+from .errors import DimensionMismatch, ErasureKitError, ParamOutOfRange, UnknownPreset
 from .optimizer import OptimizationResult, RandomUnitaryVerdict
 from .probes import Ensemble, ProbeMeasurement, ensemble, probe_measurement
 
@@ -23,51 +24,96 @@ def encode_matrix(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def decode_matrix(rows) -> np.ndarray:
+def _is_real(x) -> bool:
+    """A number that converts to a float; bools and integers past the float range are not."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        return False
     try:
-        m = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise DimensionMismatch(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if m.ndim != 2:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_real, entry))
+
+
+def decode_matrix(rows) -> np.ndarray:
+    """A matrix from a list of rows of [re, im] pairs of numbers, checked before numpy sees it."""
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(map(_is_pair, row)) for row in rows
+    ):
+        raise DimensionMismatch("a matrix must be a list of rows of [re, im] pairs of numbers")
+    if not rows or len({len(row) for row in rows}) != 1:
         raise DimensionMismatch("matrix rows have inconsistent lengths")
-    return m
+    return np.asarray([[complex(re, im) for re, im in row] for row in rows])
 
 
 def channel_to_dict(channel: KrausChannel) -> dict:
     return {"dim": channel.dim, "kraus": [encode_matrix(e) for e in channel.operators]}
 
 
+def _check_preset_params(params) -> dict:
+    """Preset parameters from JSON: numbers by name, and a seed that is a
+    non-negative integer or a list of them (numpy's seed forms)."""
+    if not isinstance(params, dict):
+        raise ParamOutOfRange(f'"params" must be an object, got {type(params).__name__}')
+    for name, value in params.items():
+        if name == "seed":
+            parts = value if isinstance(value, list) else [value]
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in parts):
+                raise ParamOutOfRange(
+                    f"seed must be a non-negative integer or a list of them, got {value!r}"
+                )
+        elif not _is_real(value):
+            raise ParamOutOfRange(f"{name} must be a number, got {value!r}")
+    return params
+
+
 def channel_from_dict(data: dict) -> KrausChannel:
+    """A channel from its JSON form, with types and nesting checked before numpy sees them."""
+    if not isinstance(data, dict):
+        raise DimensionMismatch(f"channel JSON must be an object, got {type(data).__name__}")
     if "preset" in data:
-        return preset(data["preset"], **data.get("params", {}))
+        name = data["preset"]
+        if not isinstance(name, str):
+            raise UnknownPreset(f"preset name must be a string, got {name!r}")
+        return preset(name, **_check_preset_params(data.get("params", {})))
     if "kraus" not in data:
         raise DimensionMismatch('channel JSON needs a "kraus" list or a "preset" name')
-    ch = kraus_channel([decode_matrix(m) for m in data["kraus"]])
-    if "dim" in data and int(data["dim"]) != ch.dim:
+    kraus = data["kraus"]
+    if not isinstance(kraus, list):
+        raise DimensionMismatch(f'"kraus" must be a list of matrices, got {type(kraus).__name__}')
+    ch = kraus_channel([decode_matrix(m) for m in kraus])
+    if "dim" in data and _check_integer("dim", data["dim"]) != ch.dim:
         raise DimensionMismatch(
             f'declared dim {data["dim"]} does not match operators of dim {ch.dim}'
         )
     return ch
 
 
+def _field(data, key: str, what: str):
+    if not isinstance(data, dict) or key not in data:
+        raise DimensionMismatch(f'{what} JSON needs an object with a "{key}" entry')
+    return data[key]
+
+
 def ensemble_from_dict(data: dict) -> Ensemble:
-    if "members" not in data:
-        raise DimensionMismatch('ensemble JSON needs a "members" list')
-    return ensemble([decode_matrix(m) for m in data["members"]])
+    members = _field(data, "members", "ensemble")
+    if not isinstance(members, list):
+        raise DimensionMismatch(
+            f'"members" must be a list of matrices, got {type(members).__name__}'
+        )
+    return ensemble([decode_matrix(m) for m in members])
 
 
 def measurement_from_dict(data: dict) -> ProbeMeasurement:
-    if "mixing" not in data:
-        raise DimensionMismatch('measurement JSON needs a "mixing" matrix')
-    return probe_measurement(decode_matrix(data["mixing"]))
+    return probe_measurement(decode_matrix(_field(data, "mixing", "measurement")))
 
 
 def density_from_dict(data: dict) -> np.ndarray:
-    if "matrix" not in data:
-        raise DimensionMismatch('state JSON needs a "matrix"')
-    return decode_matrix(data["matrix"])
+    return decode_matrix(_field(data, "matrix", "state"))
 
 
 def result_to_dict(result: OptimizationResult) -> dict:

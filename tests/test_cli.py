@@ -15,6 +15,9 @@ from erasurekit.serialize import (
 from erasurekit import hadamard_measurement, numerics, preset, random_ensemble
 
 
+EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
 class TestSerialization:
     def test_matrix_round_trip(self):
         m = np.array([[1 + 2j, 0.25], [-1j, 3.5 - 0.125j]])
@@ -30,6 +33,10 @@ class TestSerialization:
     def test_channel_preset_form(self):
         ch = channel_from_dict({"preset": "dephasing", "params": {"p": 0.5}})
         assert ch.kraus_count == 2
+
+    def test_library_callers_may_seed_the_random_preset_with_a_generator(self):
+        ch = preset("random", dim=2, kraus=2, seed=np.random.default_rng(3))
+        assert np.array_equal(ch.stack, preset("random", dim=2, kraus=2, seed=3).stack)
 
     def test_ensemble_and_measurement_files(self):
         ens = random_ensemble(np.eye(2) / 2, 3, 1)
@@ -127,6 +134,73 @@ class TestAnalyze:
         code = main(["analyze", "--channel", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ({"kraus": 5}, "DimensionMismatch"),
+            ({"kraus": [EYE_PAIRS], "dim": "x"}, "ParamOutOfRange"),
+            ({"preset": "dephasing", "params": 5}, "ParamOutOfRange"),
+            ({"preset": "random", "params": {"seed": "abc"}}, "ParamOutOfRange"),
+            ({"preset": "random", "params": {"seed": 1.5}}, "ParamOutOfRange"),
+            ({"preset": "random", "params": {"seed": [1, -2]}}, "ParamOutOfRange"),
+            ({"preset": "depolarizing", "params": {"p": "x"}}, "ParamOutOfRange"),
+            ({"preset": "random", "params": {"dim": 2.5}}, "ParamOutOfRange"),
+            ({"preset": [1]}, "UnknownPreset"),
+            (5, "DimensionMismatch"),
+            ({"kraus": [[[{"re": 1}, [0, 0]]]]}, "DimensionMismatch"),
+            ({"kraus": [[[[1.0, 0.0, 3.0]]]]}, "DimensionMismatch"),
+            ({"kraus": [[[[10**400, 0], [0, 0]]]]}, "DimensionMismatch"),
+            ({"preset": "depolarizing", "params": {"p": 10**400}}, "ParamOutOfRange"),
+        ],
+        ids=[
+            "kraus-number", "dim-string", "params-number", "seed-string", "seed-fraction",
+            "seed-negative", "p-string", "dim-fraction", "preset-list", "json-number",
+            "entry-object", "entry-triple", "entry-past-float", "p-past-float",
+        ],
+    )
+    def test_mistyped_channel_payloads_exit_with_one_error_line(
+        self, tmp_path, capsys, payload, error
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--channel", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,payload",
+        [
+            ("--state", {"matrix": [[[1, 0], [0, 0]], [[0, 0], {"im": 1}]]}),
+            ("--ensemble", {"members": 5}),
+            ("--ensemble", 7),
+        ],
+        ids=["state-entry-object", "members-number", "ensemble-number"],
+    )
+    def test_mistyped_state_ensemble_and_mixing_files(self, tmp_path, capsys, flag, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--preset", "dephasing", flag, str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"preset": "random", "params": {"dim": 2.0, "kraus": 3, "seed": [1, 2]}},
+            {"kraus": [EYE_PAIRS], "dim": 2.0},
+        ],
+    )
+    def test_integral_floats_and_seed_lists_are_accepted(self, tmp_path, payload):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(payload))
+        assert main(["analyze", "--channel", str(good), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(

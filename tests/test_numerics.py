@@ -3,6 +3,7 @@ import pytest
 
 from erasurekit import (
     haar_isometry,
+    numerics,
     haar_unitary,
     polar_decompose,
     psd_sqrt,
@@ -21,7 +22,7 @@ from erasurekit.errors import (
     NotFinite,
     NotPSD,
 )
-from erasurekit.numerics import _haar, _trace_norms, ginibre
+from erasurekit.numerics import _haar, _polar_factors, _trace_norms, ginibre
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -158,6 +159,70 @@ class TestTraceNorms:
         assert np.array_equal(_trace_norms(stack), _svd_trace_norms(stack))
 
 
+EPS = np.finfo(float).eps
+
+
+def _unitarity(u):
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
+def _near_rank_one(ratio, count, seed):
+    rng = np.random.default_rng(seed)
+    u, v = _haar((count, 2, 2), rng), _haar((count, 2, 2), rng)
+    s1 = rng.exponential(size=count)
+    return (u * np.stack([s1, ratio * s1], axis=-1)[:, None, :]) @ v
+
+
+class TestPolarFactors:
+    def assert_closed_form_holds(self, stack):
+        t, u = _polar_factors(stack)
+        frobenius = np.linalg.norm(stack, axis=(-2, -1))
+        assert t.shape == stack.shape[:-2] and u.shape == stack.shape
+        assert np.all(np.abs(t - _svd_trace_norms(stack)) <= 8 * EPS * frobenius)
+        assert np.all(_unitarity(u) <= 4 * EPS)
+        overlap = np.einsum("...ab,...ab->...", u.conj(), stack).real
+        assert np.all(np.abs(overlap - t) <= 8 * EPS * frobenius)
+        assert np.array_equal(t, _trace_norms(stack))
+
+    def test_ginibre_stacks(self):
+        rng = np.random.default_rng(50)
+        g = ginibre(8192, 2, rng).reshape(4096, 2, 2)
+        self.assert_closed_form_holds(g * rng.exponential(size=(4096, 1, 1)))
+        self.assert_closed_form_holds(ginibre(4 * 3 * 2, 2, rng).reshape(4, 3, 2, 2))
+        self.assert_closed_form_holds(g[::2].swapaxes(-1, -2))  # a strided view
+
+    def test_rank_one_stacks(self):
+        rng = np.random.default_rng(51)
+        u, v = ginibre(1024, 2, rng), ginibre(1024, 2, rng)
+        self.assert_closed_form_holds(u[:, :, None] * v.conj()[:, None, :])
+
+    @pytest.mark.parametrize("ratio", [10.0**-k for k in range(4, 17)])
+    def test_near_rank_one_stacks(self, ratio):
+        self.assert_closed_form_holds(_near_rank_one(ratio, 512, [52, int(-np.log10(ratio))]))
+
+    def test_zero_matrices_get_the_identity(self):
+        stack = ginibre(12, 2, 53).reshape(6, 2, 2)
+        stack[[1, 4]] = 0
+        t, u = _polar_factors(stack)
+        assert np.array_equal(t[[1, 4]], np.zeros(2))
+        assert np.array_equal(u[[1, 4]], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        self.assert_closed_form_holds(stack)
+
+    def test_real_diagonal(self):
+        t, u = _polar_factors(np.diag([2.0, -3.0]).astype(complex))
+        assert t == 5.0
+        assert np.abs(u - np.diag([1.0, -1.0])).max() <= EPS
+
+    @pytest.mark.parametrize("shape", [(64, 3, 3), (16, 2, 4, 4), (64, 3, 2), (64, 2, 3)])
+    def test_other_shapes_are_the_svd_bit_for_bit(self, shape):
+        rng = np.random.default_rng([54, *shape])
+        stack = ginibre(int(np.prod(shape[:-1])), shape[-1], rng).reshape(shape)
+        t, u = _polar_factors(stack)
+        x, s, yh = np.linalg.svd(stack, full_matrices=False)
+        assert np.array_equal(t, s.sum(axis=-1))
+        assert np.array_equal(u, x @ yh)
+
+
 class TestUhlmannFidelity:
     def test_identical(self):
         rho = random_density(3, 2)
@@ -279,10 +344,41 @@ class TestHaarUnitary:
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (4, 4), (16, 16), (8, 3)])
     def test_bit_identical_to_the_ginibre_qr_draw(self, rows, cols):
-        # the isometry as it was drawn before it shared numerics._haar
-        q, r = np.linalg.qr(ginibre(rows, cols, [rows, cols]))
+        # the isometry as it was drawn before it shared numerics._haar; a
+        # 2 x 2 draw writes out that QR, so it agrees to rounding, scaled by
+        # the conditioning of the Ginibre matrix
+        g = ginibre(rows, cols, [rows, cols])
+        q, r = np.linalg.qr(g)
         d = np.diagonal(r)
-        assert np.array_equal(haar_isometry(rows, cols, [rows, cols]), q * (d / np.abs(d)))
+        reference = q * (d / np.abs(d))
+        drawn = haar_isometry(rows, cols, [rows, cols])
+        if (rows, cols) == (2, 2):
+            bound = 8 * EPS * np.linalg.norm(g) / abs(r[1, 1])
+            assert np.abs(drawn - reference).max() <= bound
+        else:
+            assert np.array_equal(drawn, reference)
+
+    def test_2x2_stacks_are_the_qr_draw_of_the_same_ginibre_matrices(self):
+        # the closed form replaces LAPACK's QR, never the random draw
+        g = numerics._ginibre((8192, 2, 2), np.random.default_rng(60))
+        q = _haar((8192, 2, 2), np.random.default_rng(60))
+        assert _unitarity(q).max() <= 4 * EPS
+        r = q.conj().swapaxes(-1, -2) @ g
+        frobenius = np.linalg.norm(g, axis=(-2, -1))
+        assert np.all(np.abs(r[:, 1, 0]) <= 4 * EPS * frobenius)
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(diagonal.real > 0)
+        assert np.all(np.abs(diagonal.imag) <= 4 * EPS * frobenius[:, None])
+        q_ref, r_ref = np.linalg.qr(g)
+        d = np.diagonal(r_ref, axis1=-2, axis2=-1)
+        reference = q_ref * (d / np.abs(d))[:, None, :]
+        bound = 8 * EPS * frobenius / np.abs(r_ref[:, 1, 1])
+        assert np.all(np.abs(q - reference).max(axis=(-2, -1)) <= bound)
+
+    @pytest.mark.parametrize("shape", [(5, 2, 2), (3, 4, 2, 2)])
+    def test_2x2_stacks_of_any_batch_shape(self, shape):
+        q = _haar(shape, np.random.default_rng(61))
+        assert q.shape == shape and _unitarity(q).max() <= 4 * EPS
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -144,7 +144,8 @@ class TestOptimizeErasure:
 
 def _inline_oracle(channel, samples, seed):
     # the oracle as it was written before it shared numerics._haar and
-    # numerics._trace_norms; returns its value and its draws
+    # numerics._trace_norms; returns its value, its draws and their Ginibre
+    # matrices and R factors
     kk, dim = channel.kraus_count, channel.dim
     ops_rho = np.stack(channel.operators) @ (np.eye(dim, dtype=complex) / dim)
     rng = np.random.default_rng(seed)
@@ -155,11 +156,18 @@ def _inline_oracle(channel, samples, seed):
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         w = q * (d / np.abs(d))[:, None, :]
-        draws.append(w)
+        draws.append((w, g, r))
         t = np.linalg.svd(np.einsum("njk,kab->njab", w, ops_rho), compute_uv=False).sum(axis=-1)
         best = max(best, float((t**2).sum(axis=-1).max()))
         done += n
     return best, draws
+
+
+def assert_near_the_qr_draw(q, reference, g, r):
+    # a 2 x 2 draw writes out the QR that LAPACK computes, so the two agree
+    # matrix by matrix to rounding, scaled by the conditioning of G
+    bound = 8 * np.finfo(float).eps * np.linalg.norm(g, axis=(-2, -1)) / np.abs(r[..., 1, 1])
+    assert np.all(np.abs(q - reference).max(axis=(-2, -1)) <= bound)
 
 
 class TestSampleOracle:
@@ -179,9 +187,14 @@ class TestSampleOracle:
                 value = sample_oracle(ch, samples=samples, seed=kk)
                 reference, reference_draws = _inline_oracle(ch, samples, kk)
                 assert len(draws) == len(reference_draws)
-                assert all(np.array_equal(a, b) for a, b in zip(draws, reference_draws))
-                if dim == 2:
-                    # closed-form 2 x 2 trace norms agree with the SVD to a few ulps
+                if kk == 2:
+                    for q, (w, g, r) in zip(draws, reference_draws):
+                        assert_near_the_qr_draw(q, w, g, r)
+                else:
+                    assert all(np.array_equal(a, w) for a, (w, _, _) in zip(draws, reference_draws))
+                if dim == 2 or kk == 2:
+                    # closed-form 2 x 2 trace norms, or 2 x 2 draws, agree
+                    # with the SVD and QR forms to a few ulps
                     assert abs(value - reference) <= 8 * np.finfo(float).eps * reference
                 else:
                     assert value == reference
@@ -316,13 +329,15 @@ def _flat(ops, rho):
     return (ops @ rho).reshape(len(ops), -1)
 
 
-# Reference ascent with three SVDs per step: F is evaluated by a separate
-# values-only SVD instead of being read from the step's branch SVD.
+# Reference ascent, one restart at a time, with three decompositions per
+# step: F is evaluated by a separate values-only kernel instead of being read
+# from the step's branch polar factors. Both kernels take the closed form for
+# 2 x 2 matrices and LAPACK otherwise, as the search does; tests in
+# test_numerics pin the closed forms against LAPACK.
 def _reference_objective(ops, rho, w):
     d = rho.shape[0]
     branches_rho = (w @ _flat(ops, rho)).reshape(-1, d, d)
-    t = np.linalg.svd(branches_rho, compute_uv=False).sum(axis=1)
-    return float((t**2).sum())
+    return float((numerics._trace_norms(branches_rho) ** 2).sum())
 
 
 def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
@@ -333,12 +348,9 @@ def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
     converged = False
     for it in range(1, max_iters + 1):
         branches_rho = (w @ flat).reshape(-1, d, d)
-        x, s, yh = np.linalg.svd(branches_rho)
-        t = s.sum(axis=1)
-        v = x @ yh
+        t, v = numerics._polar_factors(branches_rho)
         g = t[:, None] * (v.conj().reshape(len(v), -1) @ flat.T)
-        gx, _, gyh = np.linalg.svd(g, full_matrices=False)
-        w = (gx @ gyh).conj()
+        w = numerics._polar_factors(g)[1].conj()
         new_value = _reference_objective(ops, rho, w)
         trace.append((restart, it, new_value))
         if abs(new_value - value) < tol:
@@ -427,7 +439,7 @@ class TestFusedKernel:
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             kk = ch.kraus_count
             starts = [haar_isometry(kk, kk, np.random.default_rng([trial, r])) for r in range(3)]
-            ascents = _ascend(ops @ rho, starts, 60, 0.0)
+            ascents = _ascend([ops @ rho], starts, 60, 0.0)
             for restart, (w0, rows, a) in enumerate(zip(starts, _ascend_rows(ascents), ascents)):
                 reference = []
                 w_ref, _, _ = _reference_ascend(ops, rho, w0, 60, 0.0, restart, reference)
@@ -455,7 +467,7 @@ class TestFusedKernel:
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             kk = ch.kraus_count
             starts = [haar_isometry(kk, kk, np.random.default_rng([trial, r])) for r in range(4)]
-            ascents = _ascend(ops @ rho, starts, budget, 0.0)
+            ascents = _ascend([ops @ rho], starts, budget, 0.0)
             for restart, (w0, rows, a) in enumerate(zip(starts, _ascend_rows(ascents), ascents)):
                 reference = []
                 w_ref, _, converged_ref = _reference_ascend(
@@ -480,7 +492,7 @@ class TestFusedKernel:
         ops = np.stack(ch.operators)
         rho = np.eye(3, dtype=complex) / 3
         # tol = 0 never stops, so the ascent spends its whole budget
-        (ascent,) = _ascend(ops @ rho, [np.eye(5, dtype=complex)], 40, 0.0)
+        (ascent,) = _ascend([ops @ rho], [np.eye(5, dtype=complex)], 40, 0.0)
         assert ascent.rows[-1][0] <= 40
         assert len(svd_calls) == 1 + 2 * 40
 
@@ -495,6 +507,33 @@ class TestFusedKernel:
         rounds = max(_evaluations([row for row in result.trace if row[0] == r], max_iters, tol)
                      for r in range(restarts))
         assert len(svd_calls) <= 1 + 1 + 3 * rounds
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: optimize_erasure(preset("depolarizing", p=0.5), seed=1),
+            lambda: optimize_erasure(preset("eraser_cnot"), restarts=4, seed=1),
+            lambda: detect_random_unitary(preset("dephasing", p=0.25), restarts=4, seed=1),
+            lambda: sample_oracle(preset("amplitude_damping", gamma=0.5), samples=500, seed=1),
+        ],
+        ids=["depolarizing", "eraser", "polish", "oracle"],
+    )
+    def test_qubit_searches_stack_no_2x2_lapack_call(self, search, monkeypatch):
+        # stacked 2 x 2 branches, G matrices, S3 points and Haar draws take the
+        # closed forms; only single matrices, such as restart 1's start, may not
+        stacked = []
+        for name in ("svd", "qr"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, real=real, **kwargs):
+                a = np.asarray(a)
+                if a.ndim > 2 and a.shape[-2:] == (2, 2):
+                    stacked.append(a.shape)
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        search()
+        assert stacked == []
 
     def test_two_svds_per_polish_step(self, svd_calls, monkeypatch):
         ch = preset("random", dim=3, kraus=5, seed=33)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from erasurekit import eraser_curve, scenario_curve, teleport_curve
+from erasurekit import (
+    eraser_curve,
+    optimize_erasure,
+    optimizer,
+    preset,
+    scenario_curve,
+    teleport_curve,
+)
 from erasurekit.errors import ParamOutOfRange, UnknownScenario
 
 
@@ -39,6 +46,65 @@ class TestTeleportCurve:
         rows = teleport_curve(points=3, seed=0, restarts=2)
         assert rows[1][0] == pytest.approx(0.5)
         assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _one_search_per_point(points, seed, restarts):
+    rho = np.eye(2, dtype=complex) / 2
+    return [
+        optimize_erasure(
+            preset("partial_teleportation", lam0=float(lam0)), rho, restarts=restarts, seed=seed
+        ).best_value
+        for lam0 in np.linspace(0.0, 1.0, points)
+    ]
+
+
+class TestTeleportLockstep:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("restarts", [1, 3, 8, 32])
+    def test_rows_are_the_separate_searches_bit_for_bit(self, restarts, seed):
+        rows = teleport_curve(points=21, seed=seed, restarts=restarts)
+        expected = _one_search_per_point(21, seed, restarts)
+        assert [row[2].hex() for row in rows] == [value.hex() for value in expected]
+
+    @pytest.mark.parametrize("ascents", [1, 3, 8])
+    def test_groups_that_split_the_grid_give_the_same_rows(self, ascents, monkeypatch):
+        # a teleport ascent stacks m * max(K, d^2) = 16 complex entries, so a
+        # group of 3 or 8 ascents splits the 8 restarts of one grid point,
+        # and a group of 1 runs every ascent alone
+        restarts, entries = 8, 16
+        expected = _one_search_per_point(7, 2, restarts)
+        sizes, real_svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            sizes.append(np.asarray(a).size)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(optimizer, "GROUP_ENTRIES", ascents * entries)
+        rows = teleport_curve(points=7, seed=2, restarts=restarts)
+        assert [row[2].hex() for row in rows] == [value.hex() for value in expected]
+        assert sizes and max(sizes) <= ascents * entries
+
+    def test_problems_share_a_group_and_its_starts(self, monkeypatch):
+        # 3 restarts on 7 grid points: a group of 8 ascents holds 2 whole
+        # points, so each group draws its one Haar start once
+        draws, real_start = [], optimizer._start
+
+        def recording_start(r, m, kk, seed):
+            draws.append(r)
+            return real_start(r, m, kk, seed)
+
+        monkeypatch.setattr(optimizer, "_start", recording_start)
+        monkeypatch.setattr(optimizer, "GROUP_ENTRIES", 8 * 16)
+        rows = teleport_curve(points=7, seed=4, restarts=3)
+        assert draws == [0, 1, 2] * 4
+        expected = _one_search_per_point(7, 4, 3)
+        assert [row[2].hex() for row in rows] == [value.hex() for value in expected]
+
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one(self, restarts):
+        with pytest.raises(ParamOutOfRange):
+            teleport_curve(points=3, restarts=restarts)
 
 
 class TestDispatch:
