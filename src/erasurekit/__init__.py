@@ -10,16 +10,10 @@ measurement maximizing the assisted fidelity.
 """
 
 from .channels import (
-    DilationIsometry,
     KrausChannel,
-    apply,
     channels_equal,
     choi_distance,
     choi_matrix,
-    complementary_apply,
-    dilation,
-    dual_apply,
-    dual_effect,
     kraus_channel,
     preset,
     validate,
@@ -30,15 +24,12 @@ from .erasure import (
     build_correction,
     conditional_states,
     entanglement_fidelity,
-    entanglement_fidelity_purification,
     verify_converse,
     verify_direct,
 )
 from .numerics import (
     EntropyBounds,
     haar_isometry,
-    haar_unitary,
-    polar_decompose,
     psd_power,
     psd_sqrt,
     random_density,
@@ -65,12 +56,10 @@ from .probes import (
     hadamard_measurement,
     ic_ensemble,
     joint_distribution,
-    measurements_equal,
     mutual_information,
     probe_measurement,
     random_ensemble,
     random_measurement,
-    reconstruct,
     refine,
     rotation_measurement,
 )

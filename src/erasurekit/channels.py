@@ -1,4 +1,4 @@
-"""Quantum channels as finite Kraus families, their dilations, and presets.
+"""Quantum channels as finite Kraus families, their Choi matrices, and presets.
 
 A channel E(rho) = sum_k E_k rho E_k^dag is stored as the concrete operator
 family {E_k}, not as an abstract map: the family fixes which indirect
@@ -17,7 +17,6 @@ import numpy as np
 from . import numerics
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     NotTracePreserving,
     ParamOutOfRange,
     UnknownPreset,
@@ -83,15 +82,6 @@ class KrausChannel:
         return self.stack.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DilationIsometry:
-    """Isometry V = sum_k E_k (x) |k> from the system into system (x) environment."""
-
-    matrix: np.ndarray
-    dim: int
-    env_dim: int
-
-
 def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
     """Build a channel from an operator family, dropping numerically zero members.
 
@@ -128,61 +118,6 @@ def _check_state(channel: KrausChannel, rho) -> np.ndarray:
             f"state is {rho.shape}, channel acts on dimension {channel.dim}"
         )
     return rho
-
-
-def apply(channel: KrausChannel, rho) -> np.ndarray:
-    """Channel action sum_k E_k rho E_k^dag on a density matrix."""
-    rho = _check_state(channel, rho)
-    out = np.zeros_like(rho)
-    for e in channel.operators:
-        out += e @ rho @ numerics.dagger(e)
-    return numerics.hermitize(out)
-
-
-def dilation(channel: KrausChannel) -> DilationIsometry:
-    """Isometry V = sum_k E_k (x) |k> realizing the channel as an interaction.
-
-    Row (i, k) of V (flat index i*K + k) is system index i, environment
-    index k, so slicing rows k::K recovers E_k exactly. The environment
-    dimension equals the number of Kraus operators: the minimal dilation.
-    """
-    validate(channel)
-    d, kk = channel.dim, channel.kraus_count
-    v = np.zeros((d * kk, d), dtype=complex)
-    for k, e in enumerate(channel.operators):
-        v[k::kk, :] = e
-    return DilationIsometry(matrix=v, dim=d, env_dim=kk)
-
-
-def complementary_apply(channel: KrausChannel, rho) -> np.ndarray:
-    """Environment output state: entry (k, l) = Tr[E_l^dag E_k rho]."""
-    rho = _check_state(channel, rho)
-    ops = channel.stack
-    env = np.einsum("kab,bc,lac->kl", ops, rho, ops.conj())
-    return numerics.hermitize(env)
-
-
-def dual_effect(channel: KrausChannel, j: int) -> np.ndarray:
-    """Pullback of the environment projector |j><j| to the system: E_j^dag E_j."""
-    if not 0 <= j < channel.kraus_count:
-        raise IndexOutOfRange(
-            f"Kraus index {j} outside [0, {channel.kraus_count})"
-        )
-    e = channel.stack[j]
-    return numerics.hermitize(numerics.dagger(e) @ e)
-
-
-def dual_apply(channel: KrausChannel, observable) -> np.ndarray:
-    """Adjoint action on observables: sum_k E_k^dag O E_k (unit-preserving)."""
-    obs = numerics.as_matrix(observable)
-    if obs.shape != (channel.dim, channel.dim):
-        raise DimensionMismatch(
-            f"observable is {obs.shape}, channel acts on dimension {channel.dim}"
-        )
-    out = np.zeros_like(obs)
-    for e in channel.operators:
-        out += numerics.dagger(e) @ obs @ e
-    return out
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:

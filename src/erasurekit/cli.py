@@ -56,11 +56,20 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--channel", metavar="FILE", help="channel JSON file")
     group.add_argument("--preset", choices=sorted(PRESETS), help="named channel construction")
     sub.add_argument("--param", type=float, default=None, help="preset parameter")
-    sub.add_argument("--dim", type=int, default=2, help="dimension for identity/random presets")
-    sub.add_argument("--kraus", type=int, default=2, help="Kraus count for the random preset")
+    sub.add_argument("--dim", type=int, default=None, help="identity/random presets (default 2)")
+    sub.add_argument("--kraus", type=int, default=None, help="random preset (default 2)")
+
+
+# The presets that take --dim or --kraus; both flags default to 2.
+SIZE_FLAGS = {"identity": ("dim",), "random": ("dim", "kraus")}
 
 
 def _resolve_channel(args) -> tuple[KrausChannel, dict]:
+    takes = SIZE_FLAGS.get(args.preset, ())
+    for flag in ("dim", "kraus"):
+        if getattr(args, flag) is not None and flag not in takes:
+            source = f"preset {args.preset!r}" if args.preset else "a --channel file"
+            raise ParamOutOfRange(f"{source} takes no --{flag}")
     if args.channel:
         channel = channel_from_dict(load_json(args.channel))
         spec = {"file": args.channel}
@@ -71,10 +80,11 @@ def _resolve_channel(args) -> tuple[KrausChannel, dict]:
             params[PRESETS[name]] = args.param if args.param is not None else 0.5
         elif args.param is not None:
             raise ParamOutOfRange(f"preset {name!r} takes no --param")
-        if name == "identity":
-            params["dim"] = args.dim
+        for flag in takes:
+            value = getattr(args, flag)
+            params[flag] = 2 if value is None else value
         if name == "random":
-            params = {"dim": args.dim, "kraus": args.kraus, "seed": args.seed}
+            params["seed"] = args.seed
         channel = preset(name, **params)
         spec = {"preset": name, "params": params}
     validate(channel)
@@ -208,15 +218,13 @@ def _verify_trial(master_seed: int, trial: int, dims: list[int]) -> dict:
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParamOutOfRange(f"--trials must be >= 1, got {args.trials}")
     try:
         dims = sorted({int(d) for d in args.dims.split(",") if d.strip()})
     except ValueError:
         dims = []
     if not dims or any(d < 2 for d in dims):
-        print("error: --dims needs integers >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParamOutOfRange(f"--dims needs integers >= 2, got {args.dims!r}")
     rows = [_verify_trial(args.seed, t, dims) for t in range(args.trials)]
 
     config = {

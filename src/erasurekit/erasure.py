@@ -56,31 +56,15 @@ def entanglement_fidelity(channel: KrausChannel, rho) -> float:
     return float((np.abs(overlaps) ** 2).sum())
 
 
-def entanglement_fidelity_purification(channel: KrausChannel, rho) -> float:
-    """F_e via the canonical purification |O> = (rho^(1/2) (x) I) sum_i |ii>.
-
-    Builds the doubled-space output state explicitly and takes the overlap;
-    an independent computation path used to cross-check the Kraus formula.
-    """
-    rho = _check_state(channel, rho)
-    d = channel.dim
-    omega = (numerics.psd_power(rho, 0.5) @ np.eye(d)).reshape(-1)
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for e in channel.operators:
-        v = np.kron(e, eye) @ omega
-        out += np.outer(v, v.conj())
-    return float(np.real(omega.conj() @ out @ omega))
-
-
 def assisted_fidelity(
     channel: KrausChannel, rho, meas: ProbeMeasurement | None = None
 ) -> float:
-    """F_ea(rho) = sum_j (Tr|E'_j rho|)^2 on the refined branches (W = I default)."""
+    """F_ea(rho) = sum_j (Tr|E'_j rho|)^2 on the refined branches (W = I default).
+
+    The branch trace norms come from one stacked kernel call.
+    """
     rho = _check_state(channel, rho)
-    return float(
-        sum(numerics.trace_norm(e @ rho) ** 2 for e in _refined(channel, meas))
-    )
+    return float((numerics._trace_norms(_refined(channel, meas) @ rho) ** 2).sum())
 
 
 def _branches(channel, rho, meas):
@@ -126,14 +110,13 @@ def build_correction(
     C_j conjugates by the adjoint of the unitary polar factor V_j of E'_j rho,
     so each corrected operator is V_j^dag E'_j. Its entanglement fidelity at
     rho equals the assisted bound; for rank-deficient E'_j rho any valid polar
-    completion gives the same corrected fidelity.
+    completion gives the same corrected fidelity. Every V_j comes from one
+    stacked kernel call.
     """
     rho = _check_state(channel, rho)
-    corrected = []
-    for e in _refined(channel, meas):
-        v = numerics.polar_unitary(e @ rho)
-        corrected.append(numerics.dagger(v) @ e)
-    return kraus_channel(corrected)
+    refined = _refined(channel, meas)
+    v = numerics._polar_factors(refined @ rho)[1]
+    return kraus_channel(numerics.dagger(v) @ refined)
 
 
 @dataclass(frozen=True)

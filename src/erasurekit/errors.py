@@ -52,10 +52,6 @@ class BetaZero(ErasureKitError):
     """A weight that must be strictly positive is zero."""
 
 
-class IndexOutOfRange(ErasureKitError):
-    """Kraus or outcome index outside the valid range."""
-
-
 class UnknownPreset(ErasureKitError):
     """Channel preset name not recognized."""
 

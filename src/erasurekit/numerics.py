@@ -96,31 +96,6 @@ def ginibre(rows: int, cols: int, seed) -> np.ndarray:
     return _ginibre((rows, cols), _rng(seed))
 
 
-def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Right polar decomposition a = u @ p of a square matrix.
-
-    Returns
-    -------
-    u : unitary factor. For rank-deficient ``a`` the action of ``u`` on the
-        null space of ``p`` is not determined by ``a``; the singular-vector
-        completion returned here is one valid choice and callers must not
-        rely on it beyond ``u @ p == a``.
-    p : positive-semidefinite factor ``sqrt(a^dag a)``.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"polar decomposition needs a square matrix, got {a.shape}")
-    x, s, yh = np.linalg.svd(a)
-    u = x @ yh
-    p = (dagger(yh) * s) @ yh
-    return u, hermitize(p)
-
-
-def polar_unitary(a) -> np.ndarray:
-    """Unitary factor of the right polar decomposition (singular-vector completion)."""
-    return polar_decompose(a)[0]
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -406,13 +381,6 @@ def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
     if cols < 1 or rows < cols:
         raise DimensionMismatch(f"need rows >= cols >= 1, got {rows} x {cols}")
     return _haar((rows, cols), _rng(seed))
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary, deterministic for a fixed seed."""
-    if d < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {d}")
-    return haar_isometry(d, d, seed)
 
 
 def random_density(d: int, seed, *, rank: int | None = None) -> np.ndarray:

@@ -422,9 +422,7 @@ def detect_random_unitary(
     probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d
     kept = probs >= OUTCOME_FLOOR
     normalized = branches[kept] / np.sqrt(probs[kept])[:, None, None]
-    residual = max(
-        float(np.abs(numerics.dagger(u) @ u - np.eye(d)).max()) for u in normalized
-    )
+    residual = float(np.abs(numerics.dagger(normalized) @ normalized - np.eye(d)).max())
 
     if best_value < 1 - RANDOM_UNITARY_TOL or residual >= 10 * np.sqrt(RANDOM_UNITARY_TOL):
         return RandomUnitaryVerdict(False, None, residual)
@@ -436,7 +434,7 @@ def detect_random_unitary(
             return RandomUnitaryVerdict(False, None, residual)
 
     weights = probs[kept] / probs[kept].sum()
-    unitaries = tuple(numerics.polar_unitary(u) for u in normalized)
+    unitaries = numerics._polar_factors(normalized)[1]
     witness = tuple((float(p), u) for p, u in zip(weights, unitaries))
     return RandomUnitaryVerdict(True, witness, residual)
 

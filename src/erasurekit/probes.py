@@ -3,8 +3,8 @@
 A rank-one probe POVM is stored as the m x K mixing isometry W acting on
 Kraus indices: row j encodes the probe effect |w_j><w_j| via W[j, k] =
 <w_j|k>, and the refined pure-instrument branches are E'_j = sum_k W[j, k]
-E_k. Row phases of W are unphysical gauge, so measurement equality is tested
-up to a per-row phase.
+E_k. Row phases of W are unphysical gauge: they change no branch's trace
+norm or effect.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ ISOMETRY_ATOL = 1e-10
 # Outcomes with p(j) below this are dropped from reports; the 0 log 0
 # convention keeps every entropic quantity finite without them.
 OUTCOME_FLOOR = 1e-12
-
-# Two measurements are equal when their rows agree within this, up to phase.
-MEASUREMENT_ATOL = 1e-9
 
 # Share of rho a random ensemble splits uniformly over its members.
 ENSEMBLE_FLOOR = 0.01
@@ -84,18 +81,6 @@ def rotation_measurement(theta: float) -> ProbeMeasurement:
 
 def random_measurement(outcomes: int, kraus_count: int, seed) -> ProbeMeasurement:
     return probe_measurement(numerics.haar_isometry(outcomes, kraus_count, seed))
-
-
-def measurements_equal(a: ProbeMeasurement, b: ProbeMeasurement) -> bool:
-    """Row-wise equality up to a phase per row (the unphysical gauge)."""
-    if a.mixing.shape != b.mixing.shape:
-        return False
-    for ra, rb in zip(a.mixing, b.mixing):
-        inner = complex(np.vdot(ra, rb))
-        phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-        if float(np.abs(ra * phase - rb).max()) > MEASUREMENT_ATOL:
-            return False
-    return True
 
 
 def refine(channel: KrausChannel, meas: ProbeMeasurement) -> np.ndarray:
@@ -332,11 +317,3 @@ def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
         gamma=float(gamma),
     )
 
-
-def reconstruct(ic: ICEnsemble, observable) -> np.ndarray:
-    """Rebuild an operator on supp(rho) from its frame expectations."""
-    obs = numerics.as_matrix(observable)
-    out = np.zeros_like(obs)
-    for effect, dual in zip(ic.frame_effects, ic.dual_frame):
-        out = out + np.trace(obs @ effect) * dual
-    return out

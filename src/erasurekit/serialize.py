@@ -50,10 +50,6 @@ def decode_matrix(rows) -> np.ndarray:
     return np.asarray([[complex(re, im) for re, im in row] for row in rows])
 
 
-def channel_to_dict(channel: KrausChannel) -> dict:
-    return {"dim": channel.dim, "kraus": [encode_matrix(e) for e in channel.operators]}
-
-
 def _check_preset_params(params) -> dict:
     """Preset parameters from JSON: numbers by name, and a seed that is a
     non-negative integer or a list of them (numpy's seed forms)."""

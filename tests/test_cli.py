@@ -6,13 +6,13 @@ import pytest
 from erasurekit.cli import main
 from erasurekit.serialize import (
     channel_from_dict,
-    channel_to_dict,
     decode_matrix,
     encode_matrix,
     ensemble_from_dict,
     measurement_from_dict,
 )
 from erasurekit import hadamard_measurement, numerics, preset, random_ensemble
+from reference import channel_to_dict
 
 
 EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -100,6 +100,43 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, flags",
+        [
+            (["--preset", "dephasing"], ["--dim", "3", "--kraus", "7"]),
+            (["--preset", "eraser_cnot"], ["--kraus", "2"]),
+            (["--preset", "identity"], ["--kraus", "3"]),
+            (["--channel", "CHANNEL"], ["--dim", "2"]),
+        ],
+        ids=["dephasing", "eraser-kraus", "identity-kraus", "file-dim"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_size_flags_the_channel_does_not_take(self, tmp_path, capsys, command, source, flags):
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"preset": "dephasing"}))
+        source = [str(channel) if arg == "CHANNEL" else arg for arg in source]
+        out = tmp_path / "out.json"
+        assert main([command, *source, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert f"takes no {flags[0]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["--preset", "identity"], {"dim": 2}),
+            (["--preset", "identity", "--dim", "3"], {"dim": 3}),
+            (["--preset", "random"], {"dim": 2, "kraus": 2, "seed": 0}),
+            (["--preset", "random", "--kraus", "3"], {"dim": 2, "kraus": 3, "seed": 0}),
+            (["--preset", "dephasing"], {"p": 0.5}),
+        ],
+    )
+    def test_recorded_params_resolve_the_size_defaults(self, tmp_path, argv, params):
+        out = tmp_path / "report.json"
+        assert main(["analyze", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["channel"]["params"] == params
 
     def test_broken_channel_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -345,13 +382,14 @@ class TestVerify:
         out = tmp_path / "verify.csv"
         assert main(["verify", "--dims", dims, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: --dims needs integers >= 2\n" and captured.out == ""
+        expected = f"error: ParamOutOfRange: --dims needs integers >= 2, got {dims!r}\n"
+        assert captured.err == expected and captured.out == ""
         assert not out.exists()
 
     def test_zero_trials(self, capsys):
         code = main(["verify", "--trials", "0"])
         assert code == 1
-        assert "trials must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: ParamOutOfRange: --trials must be >= 1, got 0\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

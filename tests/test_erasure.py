@@ -7,12 +7,14 @@ from erasurekit import (
     canonical_measurement,
     channels_equal,
     conditional_states,
+    detect_random_unitary,
     ensemble,
     entanglement_fidelity,
-    entanglement_fidelity_purification,
     hadamard_measurement,
-    haar_unitary,
+    haar_isometry,
     kraus_channel,
+    numerics,
+    optimize_erasure,
     preset,
     random_density,
     random_ensemble,
@@ -25,6 +27,7 @@ from erasurekit import (
 )
 from erasurekit.errors import EnsembleMismatch
 from erasurekit.probes import joint_distribution
+from reference import entanglement_fidelity_purification
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -135,7 +138,7 @@ class TestConditionalStates:
             assert np.abs(k - MIXED).max() < 1e-12
 
     def test_unitary_channel_single_outcome(self):
-        u = haar_unitary(2, 8)
+        u = haar_isometry(2, 2, 8)
         ch = kraus_channel([u])
         rho = random_density(2, 9)
         states = conditional_states(ch, rho)
@@ -165,7 +168,7 @@ class TestBuildCorrection:
         assert channels_equal(corrected, preset("identity"))
 
     def test_unitary_channel_inverts(self):
-        u = haar_unitary(2, 30)
+        u = haar_isometry(2, 2, 30)
         corrected = build_correction(kraus_channel([u]), random_density(2, 31))
         assert channels_equal(corrected, preset("identity"))
 
@@ -211,7 +214,7 @@ class TestBuildCorrection:
                     rank = int((s > 1e-12).sum())
                     block = np.eye(d, dtype=complex)
                     if rank < d:
-                        block[rank:, rank:] = haar_unitary(d - rank, rng)
+                        block[rank:, rank:] = haar_isometry(d - rank, d - rank, rng)
                     u = x @ block @ yh
                     assert np.abs(u @ ((yh.conj().T * s) @ yh) - a).max() < 1e-12
                     corrected_ops.append(u.conj().T @ e)
@@ -311,7 +314,7 @@ class TestVerifyConverse:
         assert report.worst_slack() >= -1e-9
 
     def test_unitary_channel(self):
-        u = haar_unitary(2, 44)
+        u = haar_isometry(2, 2, 44)
         rho = random_density(2, 45)
         report = verify_converse(kraus_channel([u]), rho, members=4, seed=6)
         assert report.f_ea == pytest.approx(1.0, abs=1e-10)
@@ -379,3 +382,54 @@ class TestVerifyConverse:
         broken = dataclasses.replace(report, slack_pinsker=-1e-3)
         with pytest.raises(AssertionError, match="slack_pinsker"):
             broken.assert_ok()
+
+
+def _qubit_branch_calls():
+    ch = preset("amplitude_damping", gamma=0.3)
+    rho = random_density(2, 61)
+    dephasing = preset("dephasing", p=0.25)
+    # the search runs before the spy: its restart-1 start is one 2 x 2 SVD
+    result = optimize_erasure(dephasing, seed=1)
+    return {
+        "assisted_fidelity": lambda: assisted_fidelity(ch, rho, hadamard_measurement()),
+        "build_correction": lambda: build_correction(ch, rho, hadamard_measurement()),
+        "witness": lambda: detect_random_unitary(dephasing, seed=1, result=result).witness,
+    }
+
+
+class TestBranchKernel:
+    @pytest.mark.parametrize("name", ["assisted_fidelity", "build_correction", "witness"])
+    def test_qubit_branches_make_no_2x2_svd_or_qr(self, name, monkeypatch):
+        # every 2 x 2 branch trace norm and polar factor takes the closed form,
+        # whether LAPACK would see it as one stack or as single matrices
+        call = _qubit_branch_calls()[name]
+        numerics._cached_trace_norm.cache_clear()
+        seen = []
+        for lapack in ("svd", "qr"):
+            real = getattr(np.linalg, lapack)
+
+            def spy(a, *args, real=real, lapack=lapack, **kwargs):
+                a = np.asarray(a)
+                if a.shape[-2:] == (2, 2):
+                    seen.append((lapack, a.shape))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, lapack, spy)
+        assert call() is not None
+        assert seen == []
+
+    def test_matches_per_branch_svds(self):
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            kk = int(rng.integers(2, d * d + 1))
+            ch = preset("random", dim=d, kraus=kk, seed=rng)
+            rho = random_density(d, rng)
+            meas = random_measurement(kk + int(rng.integers(0, 2)), kk, rng)
+            branches = refine(ch, meas) @ rho
+            norms = [np.linalg.svd(b, compute_uv=False).sum() for b in branches]
+            assert abs(assisted_fidelity(ch, rho, meas) - sum(t**2 for t in norms)) <= 1e-14
+            corrected = build_correction(ch, rho, meas).stack @ rho
+            overlaps = np.trace(corrected, axis1=1, axis2=2)
+            # V_j^dag E'_j rho is PSD, so its trace is the branch trace norm
+            assert np.abs(overlaps - norms).max() <= 1e-13

@@ -4,8 +4,6 @@ import pytest
 from erasurekit import (
     haar_isometry,
     numerics,
-    haar_unitary,
-    polar_decompose,
     psd_sqrt,
     random_density,
     relative_entropy,
@@ -25,40 +23,6 @@ from erasurekit.errors import (
 from erasurekit.numerics import _haar, _polar_factors, _trace_norms, ginibre
 
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-class TestPolarDecompose:
-    def test_identity(self):
-        u, p = polar_decompose(np.eye(3))
-        assert np.allclose(u, np.eye(3), atol=1e-12)
-        assert np.allclose(p, np.eye(3), atol=1e-12)
-
-    def test_real_diagonal(self):
-        u, p = polar_decompose(np.diag([2.0, -3.0]))
-        assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
-        assert np.allclose(p, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_rank_deficient_completion(self):
-        # derived via SVD completion; any unitary completion must reconstruct a
-        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        u, p = polar_decompose(a)
-        assert np.allclose(p, np.diag([0.0, 1.0]), atol=1e-12)
-        assert np.allclose(u @ p, a, atol=1e-12)
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            polar_decompose(np.ones((2, 3)))
-
-    def test_reconstruction_sweep(self):
-        # 500 seeded random square matrices: u @ p == a and u unitary
-        rng = np.random.default_rng(100)
-        for _ in range(500):
-            d = int(rng.integers(1, 7))
-            a = ginibre(d, d, rng) * rng.uniform(0.1, 10)
-            u, p = polar_decompose(a)
-            assert np.abs(u @ p - a).max() < 1e-9
-            assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
 
 
 class TestPsdSqrt:
@@ -173,6 +137,25 @@ def _near_rank_one(ratio, count, seed):
     return (u * np.stack([s1, ratio * s1], axis=-1)[:, None, :]) @ v
 
 
+def _pad(a):
+    """``a`` as the top-left block of a 3 x 3 matrix with a 1 below it, so it takes LAPACK."""
+    out = np.eye(3, dtype=complex)
+    out[:2, :2] = a
+    return out
+
+
+def assert_polar_factor(a):
+    """U is unitary and U (U^dag A) = A with U^dag A Hermitian PSD, whichever path ``a`` takes."""
+    d = a.shape[-1]
+    _, u = _polar_factors(a)
+    assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
+    p = u.conj().T @ a
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    assert np.abs(p - p.conj().T).max() < 1e-10 * scale
+    assert np.linalg.eigvalsh((p + p.conj().T) / 2).min() > -1e-10 * scale
+    assert np.abs(u @ p - a).max() < 1e-9
+
+
 class TestPolarFactors:
     def assert_closed_form_holds(self, stack):
         t, u = _polar_factors(stack)
@@ -208,10 +191,34 @@ class TestPolarFactors:
         assert np.array_equal(u[[1, 4]], np.broadcast_to(np.eye(2), (2, 2, 2)))
         self.assert_closed_form_holds(stack)
 
+    def test_identity(self):
+        for d in (2, 3):
+            t, u = _polar_factors(np.eye(d, dtype=complex))
+            assert t == d and np.array_equal(u, np.eye(d))
+            assert_polar_factor(np.eye(d, dtype=complex))
+
     def test_real_diagonal(self):
-        t, u = _polar_factors(np.diag([2.0, -3.0]).astype(complex))
+        a = np.diag([2.0, -3.0]).astype(complex)
+        t, u = _polar_factors(a)
         assert t == 5.0
         assert np.abs(u - np.diag([1.0, -1.0])).max() <= EPS
+        assert_polar_factor(a)
+        assert_polar_factor(_pad(a))
+
+    def test_rank_deficient_completion(self):
+        # U on the null space of U^dag A is not fixed by A; any unitary
+        # completion must give back A
+        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        for stack in (a, _pad(a)):
+            assert_polar_factor(stack)
+        assert np.abs(_polar_factors(a)[1].conj().T @ a - np.diag([0.0, 1.0])).max() <= EPS
+
+    def test_reconstruction_sweep(self):
+        # 500 seeded random square matrices, d = 1..6, on both paths
+        rng = np.random.default_rng(100)
+        for _ in range(500):
+            d = int(rng.integers(1, 7))
+            assert_polar_factor(ginibre(d, d, rng) * rng.uniform(0.1, 10))
 
     @pytest.mark.parametrize("shape", [(64, 3, 3), (16, 2, 4, 4), (64, 3, 2), (64, 2, 3)])
     def test_other_shapes_are_the_svd_bit_for_bit(self, shape):
@@ -330,17 +337,17 @@ class TestEntropyBounds:
 
 class TestHaarUnitary:
     def test_scalar_phase(self):
-        u = haar_unitary(1, 5)
+        u = haar_isometry(1, 1, 5)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_isometry(self):
         for seed in range(10):
             d = 2 + seed % 5
-            u = haar_unitary(d, seed)
+            u = haar_isometry(d, d, seed)
             assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
 
     def test_deterministic(self):
-        assert np.array_equal(haar_unitary(3, 42), haar_unitary(3, 42))
+        assert np.array_equal(haar_isometry(3, 3, 42), haar_isometry(3, 3, 42))
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (4, 4), (16, 16), (8, 3)])
     def test_bit_identical_to_the_ginibre_qr_draw(self, rows, cols):
@@ -382,11 +389,11 @@ class TestHaarUnitary:
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionMismatch):
-            haar_unitary(0, 1)
+            haar_isometry(0, 0, 1)
 
     def test_trace_moment_statistics(self):
         # E|Tr U|^2 = 1 for the Haar measure on U(d); a grossly biased sampler
         # (e.g. QR without the phase fix) lands far from 1
         rng = np.random.default_rng(314)
-        samples = [abs(np.trace(haar_unitary(3, rng))) ** 2 for _ in range(4000)]
+        samples = [abs(np.trace(haar_isometry(3, 3, rng))) ** 2 for _ in range(4000)]
         assert abs(np.mean(samples) - 1.0) < 0.1

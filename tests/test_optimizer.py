@@ -8,7 +8,6 @@ from erasurekit import (
     choi_distance,
     detect_random_unitary,
     haar_isometry,
-    haar_unitary,
     kraus_channel,
     numerics,
     optimize_erasure,
@@ -246,7 +245,7 @@ class TestDetectRandomUnitary:
         assert choi_distance(witness_channel(verdict), projector_channel()) < 1e-6
 
     def test_unitary_channel(self):
-        u = haar_unitary(2, 77)
+        u = haar_isometry(2, 2, 77)
         ch = kraus_channel([u])
         verdict = detect_random_unitary(ch, seed=1)
         assert verdict.is_random_unitary

@@ -8,14 +8,12 @@ from erasurekit import (
     ic_ensemble,
     joint_distribution,
     kraus_channel,
-    measurements_equal,
     mutual_information,
     preset,
     probe_measurement,
     random_density,
     random_ensemble,
     random_measurement,
-    reconstruct,
     refine,
 )
 from erasurekit.channels import PAULI_X, PAULI_Y, PAULI_Z, choi_matrix
@@ -27,6 +25,7 @@ from erasurekit.errors import (
     NotNormalized,
     ParamOutOfRange,
 )
+from reference import measurements_equal, reconstruct
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
