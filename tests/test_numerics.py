@@ -198,12 +198,21 @@ class TestPolarFactors:
             assert_polar_factor(np.eye(d, dtype=complex))
 
     def test_real_diagonal(self):
-        a = np.diag([2.0, -3.0]).astype(complex)
-        t, u = _polar_factors(a)
+        t, u = _polar_factors(np.diag([2.0, -3.0]).astype(complex))
         assert t == 5.0
         assert np.abs(u - np.diag([1.0, -1.0])).max() <= EPS
-        assert_polar_factor(a)
-        assert_polar_factor(_pad(a))
+
+    def test_real_diagonal_positive_part(self):
+        # U = diag(1, -1) and U^dag A = diag(2, 3), on both paths
+        a = np.diag([2.0, -3.0]).astype(complex)
+        for stack, u_want, p_want in (
+            (a, np.diag([1.0, -1.0]), np.diag([2.0, 3.0])),
+            (_pad(a), np.diag([1.0, -1.0, 1.0]), np.diag([2.0, 3.0, 1.0])),
+        ):
+            _, u = _polar_factors(stack)
+            assert np.abs(u - u_want).max() < 1e-12
+            assert np.abs(u.conj().T @ stack - p_want).max() < 1e-12
+            assert_polar_factor(stack)
 
     def test_rank_deficient_completion(self):
         # U on the null space of U^dag A is not fixed by A; any unitary
