@@ -10,7 +10,7 @@ map are different probe configurations even though they are channel-equal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +26,7 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 # Kraus operators below this Frobenius norm are dropped at construction:
 # they only produce zero-probability outcomes downstream.
@@ -40,19 +41,6 @@ CHOI_ATOL = 1e-9
 # preset's (d K) x d isometry, or the optimizer's m x K mixings and m x d x d
 # branches. Sizes are checked in integer arithmetic before anything is allocated.
 _MAX_ENTRIES = 2**24
-
-
-# Every preset name, mapped to the parameter the CLI's --param sets, or None
-# when --param does not apply (identity and random take --dim/--kraus).
-PRESETS = {
-    "identity": None,
-    "dephasing": "p",
-    "depolarizing": "p",
-    "amplitude_damping": "gamma",
-    "eraser_cnot": None,
-    "partial_teleportation": "lam0",
-    "random": None,
-}
 
 
 def _check_entries(entries: int, what: str) -> None:
@@ -141,20 +129,102 @@ def channels_equal(a: KrausChannel, b: KrausChannel) -> bool:
     return choi_distance(a, b) <= CHOI_ATOL
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; an integral float passes, anything else is refused."""
-    if isinstance(value, Integral) and not isinstance(value, bool):
-        return int(value)
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1; an integral float passes, anything else is refused."""
     if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= 1:
         return int(value)
-    raise ParamOutOfRange(f"{name} must be an integer, got {value!r}")
+    raise ParamOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
-    return value
+def _is_real(x) -> bool:
+    """A number that converts to a float; bools and integers past the float range are not."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _unit_interval(name: str, value) -> float:
+    if _is_real(value) and 0.0 <= float(value) <= 1.0:
+        return float(value)
+    raise ParamOutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def _seed(name: str, value):
+    """A Generator, a non-negative integer or a list of them (numpy's seed forms)."""
+    if isinstance(value, np.random.Generator):
+        return value
+    parts = value if isinstance(value, list) else [value]
+    if all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 0 for v in parts):
+        return value
+    raise ParamOutOfRange(
+        f"{name} must be a Generator, a non-negative integer or a list of them, got {value!r}"
+    )
+
+
+def _identity(dim: int) -> KrausChannel:
+    _check_entries(dim * dim, f"identity(dim={dim})")
+    return kraus_channel([np.eye(dim, dtype=complex)])
+
+
+def _dephasing(p: float) -> KrausChannel:
+    a, b = np.sqrt(1 - p), np.sqrt(p)
+    return kraus_channel([(a * PAULI_I + sign * b * PAULI_Z) / np.sqrt(2) for sign in (1, -1)])
+
+
+def _depolarizing(p: float) -> KrausChannel:
+    weights = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
+    return kraus_channel([np.sqrt(w) * s for w, s in zip(weights, PAULIS)])
+
+
+def _amplitude_damping(gamma: float) -> KrausChannel:
+    e0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    e1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    return kraus_channel([e0, e1])
+
+
+def _eraser_cnot() -> KrausChannel:
+    return kraus_channel([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
+
+
+def _partial_teleportation(lam0: float) -> KrausChannel:
+    dd = np.diag([np.sqrt(lam0), np.sqrt(1 - lam0)]).astype(complex)
+    return kraus_channel([dd @ s / np.sqrt(2) for s in PAULIS])
+
+
+def _random(dim: int, kraus: int, seed) -> KrausChannel:
+    _check_entries(dim * dim * kraus, f"random(dim={dim}, kraus={kraus})")
+    v = numerics.haar_isometry(dim * kraus, dim, seed)
+    return kraus_channel([v[k * dim : (k + 1) * dim, :] for k in range(kraus)], drop_zero=False)
+
+
+# Every preset: its parameters with their defaults, and the function that
+# builds its channel from them.
+PRESETS = {
+    "identity": ({"dim": 2}, _identity),
+    "dephasing": ({"p": 0.5}, _dephasing),
+    "depolarizing": ({"p": 0.5}, _depolarizing),
+    "amplitude_damping": ({"gamma": 0.5}, _amplitude_damping),
+    "eraser_cnot": ({}, _eraser_cnot),
+    "partial_teleportation": ({"lam0": 0.5}, _partial_teleportation),
+    "random": ({"dim": 2, "kraus": 2, "seed": 0}, _random),
+}
+
+# The checker for each parameter, one per kind: the unit interval, an integer
+# >= 1, and a seed.
+_CHECKS = {
+    "p": _unit_interval,
+    "gamma": _unit_interval,
+    "lam0": _unit_interval,
+    "dim": _count,
+    "kraus": _count,
+    "seed": _seed,
+}
 
 
 def preset(name: str, **params) -> KrausChannel:
@@ -180,53 +250,16 @@ def preset(name: str, **params) -> KrausChannel:
         sqrt(1-lam0)); completeness is exact since lam0 + (1-lam0) = 1.
     random(dim=2, kraus=2, seed=0)
         Seeded Ginibre blocks orthonormalized into an isometry, then split.
+
+    p, gamma and lam0 are real numbers in [0, 1]; dim and kraus integers
+    >= 1 (an integral float such as 2.0 passes); seed a numpy Generator, a
+    non-negative integer or a list of them. Anything else, or a parameter the
+    preset does not take, raises ParamOutOfRange.
     """
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-
-    def take(allowed: dict):
-        extra = set(params) - set(allowed)
-        if extra:
-            raise ParamOutOfRange(
-                f"unexpected parameter(s) {sorted(extra)} for preset {name!r}"
-            )
-        return {k: params.get(k, v) for k, v in allowed.items()}
-
-    if name == "identity":
-        p = take({"dim": 2})
-        d = _check_integer("dim", p["dim"])
-        if d < 1:
-            raise ParamOutOfRange(f"dim must be >= 1, got {d}")
-        _check_entries(d * d, f"identity(dim={d})")
-        return kraus_channel([np.eye(d, dtype=complex)])
-    if name == "dephasing":
-        p = _check_unit_interval("p", take({"p": 0.5})["p"])
-        a, b = np.sqrt(1 - p), np.sqrt(p)
-        return kraus_channel(
-            [(a * PAULI_I + b * PAULI_Z) / np.sqrt(2), (a * PAULI_I - b * PAULI_Z) / np.sqrt(2)]
-        )
-    if name == "depolarizing":
-        p = _check_unit_interval("p", take({"p": 0.5})["p"])
-        weights = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
-        paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
-        return kraus_channel([np.sqrt(w) * s for w, s in zip(weights, paulis)])
-    if name == "amplitude_damping":
-        g = _check_unit_interval("gamma", take({"gamma": 0.5})["gamma"])
-        e0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
-        e1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
-        return kraus_channel([e0, e1])
-    if name == "eraser_cnot":
-        take({})
-        return kraus_channel([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
-    if name == "partial_teleportation":
-        lam0 = _check_unit_interval("lam0", take({"lam0": 0.5})["lam0"])
-        dd = np.diag([np.sqrt(lam0), np.sqrt(1 - lam0)]).astype(complex)
-        paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
-        return kraus_channel([dd @ s / np.sqrt(2) for s in paulis])
-    p = take({"dim": 2, "kraus": 2, "seed": 0})
-    d, kk = _check_integer("dim", p["dim"]), _check_integer("kraus", p["kraus"])
-    if d < 1 or kk < 1:
-        raise ParamOutOfRange(f"random preset needs dim >= 1 and kraus >= 1, got {d}, {kk}")
-    _check_entries(d * d * kk, f"random(dim={d}, kraus={kk})")
-    v = numerics.haar_isometry(d * kk, d, p["seed"])
-    return kraus_channel([v[k * d : (k + 1) * d, :] for k in range(kk)], drop_zero=False)
+    defaults, build = PRESETS[name]
+    extra = set(params) - set(defaults)
+    if extra:
+        raise ParamOutOfRange(f"unexpected parameter(s) {sorted(extra)} for preset {name!r}")
+    return build(**{k: _CHECKS[k](k, params.get(k, v)) for k, v in defaults.items()})

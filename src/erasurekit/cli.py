@@ -55,38 +55,28 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--channel", metavar="FILE", help="channel JSON file")
     group.add_argument("--preset", choices=sorted(PRESETS), help="named channel construction")
-    sub.add_argument("--param", type=float, default=None, help="preset parameter")
-    sub.add_argument("--dim", type=int, default=None, help="identity/random presets (default 2)")
-    sub.add_argument("--kraus", type=int, default=None, help="random preset (default 2)")
-
-
-# The presets that take --dim or --kraus; both flags default to 2.
-SIZE_FLAGS = {"identity": ("dim",), "random": ("dim", "kraus")}
+    sub.add_argument("--param", type=float, default=None, help="the preset's [0, 1] parameter")
+    sub.add_argument("--dim", type=int, default=None, help="the preset's dimension")
+    sub.add_argument("--kraus", type=int, default=None, help="the preset's Kraus count")
 
 
 def _resolve_channel(args) -> tuple[KrausChannel, dict]:
-    takes = SIZE_FLAGS.get(args.preset, ())
-    for flag in ("dim", "kraus"):
-        if getattr(args, flag) is not None and flag not in takes:
+    # --dim, --kraus and --seed set the preset parameter of their name, and
+    # --param the preset's one [0, 1] parameter; the rest keep their defaults
+    defaults = PRESETS[args.preset][0] if args.preset else {}
+    flags = {k: k if k in ("dim", "kraus", "seed") else "param" for k in defaults}
+    for flag in ("dim", "kraus", "param"):
+        if getattr(args, flag) is not None and flag not in flags.values():
             source = f"preset {args.preset!r}" if args.preset else "a --channel file"
             raise ParamOutOfRange(f"{source} takes no --{flag}")
     if args.channel:
         channel = channel_from_dict(load_json(args.channel))
         spec = {"file": args.channel}
     else:
-        name = args.preset
-        params: dict = {}
-        if PRESETS[name] is not None:
-            params[PRESETS[name]] = args.param if args.param is not None else 0.5
-        elif args.param is not None:
-            raise ParamOutOfRange(f"preset {name!r} takes no --param")
-        for flag in takes:
-            value = getattr(args, flag)
-            params[flag] = 2 if value is None else value
-        if name == "random":
-            params["seed"] = args.seed
-        channel = preset(name, **params)
-        spec = {"preset": name, "params": params}
+        given = {k: getattr(args, flag) for k, flag in flags.items()}
+        params = {k: v if given[k] is None else given[k] for k, v in defaults.items()}
+        channel = preset(args.preset, **params)
+        spec = {"preset": args.preset, "params": params}
     validate(channel)
     return channel, spec
 
@@ -371,6 +361,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         return EXIT_USAGE
     try:
+        if args.seed < 0:
+            raise ParamOutOfRange(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ErasureKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

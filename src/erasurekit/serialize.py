@@ -9,12 +9,11 @@ is key-sorted, making repeated runs byte-identical.
 from __future__ import annotations
 
 import json
-from numbers import Real
 
 import numpy as np
 
-from .channels import KrausChannel, _check_integer, kraus_channel, preset
-from .errors import DimensionMismatch, ErasureKitError, ParamOutOfRange, UnknownPreset
+from .channels import KrausChannel, _count, _is_real, kraus_channel, preset
+from .errors import DimensionMismatch, ErasureKitError, ParamOutOfRange
 from .optimizer import OptimizationResult, RandomUnitaryVerdict
 from .probes import Ensemble, ProbeMeasurement, ensemble, probe_measurement
 
@@ -22,17 +21,6 @@ from .probes import Ensemble, ProbeMeasurement, ensemble, probe_measurement
 def encode_matrix(m) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _is_real(x) -> bool:
-    """A number that converts to a float; bools and integers past the float range are not."""
-    if isinstance(x, bool) or not isinstance(x, Real):
-        return False
-    try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
 
 
 def _is_pair(entry) -> bool:
@@ -50,39 +38,22 @@ def decode_matrix(rows) -> np.ndarray:
     return np.asarray([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _check_preset_params(params) -> dict:
-    """Preset parameters from JSON: numbers by name, and a seed that is a
-    non-negative integer or a list of them (numpy's seed forms)."""
-    if not isinstance(params, dict):
-        raise ParamOutOfRange(f'"params" must be an object, got {type(params).__name__}')
-    for name, value in params.items():
-        if name == "seed":
-            parts = value if isinstance(value, list) else [value]
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in parts):
-                raise ParamOutOfRange(
-                    f"seed must be a non-negative integer or a list of them, got {value!r}"
-                )
-        elif not _is_real(value):
-            raise ParamOutOfRange(f"{name} must be a number, got {value!r}")
-    return params
-
-
 def channel_from_dict(data: dict) -> KrausChannel:
     """A channel from its JSON form, with types and nesting checked before numpy sees them."""
     if not isinstance(data, dict):
         raise DimensionMismatch(f"channel JSON must be an object, got {type(data).__name__}")
     if "preset" in data:
-        name = data["preset"]
-        if not isinstance(name, str):
-            raise UnknownPreset(f"preset name must be a string, got {name!r}")
-        return preset(name, **_check_preset_params(data.get("params", {})))
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ParamOutOfRange(f'"params" must be an object, got {type(params).__name__}')
+        return preset(data["preset"], **params)
     if "kraus" not in data:
         raise DimensionMismatch('channel JSON needs a "kraus" list or a "preset" name')
     kraus = data["kraus"]
     if not isinstance(kraus, list):
         raise DimensionMismatch(f'"kraus" must be a list of matrices, got {type(kraus).__name__}')
     ch = kraus_channel([decode_matrix(m) for m in kraus])
-    if "dim" in data and _check_integer("dim", data["dim"]) != ch.dim:
+    if "dim" in data and _count("dim", data["dim"]) != ch.dim:
         raise DimensionMismatch(
             f'declared dim {data["dim"]} does not match operators of dim {ch.dim}'
         )

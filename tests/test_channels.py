@@ -197,13 +197,16 @@ class TestPresets:
         with pytest.raises(UnknownPreset):
             preset("nope")
 
-    def test_preset_table_drives_the_cli(self):
-        from erasurekit.cli import build_parser
+    def test_preset_table_drives_the_cli(self, tmp_path):
+        import json
 
-        for name, param in PRESETS.items():
-            validate(preset(name, **({} if param is None else {param: 0.25})))
-            args = build_parser().parse_args(["analyze", "--preset", name])
-            assert args.preset == name
+        from erasurekit.cli import main
+
+        for name, (defaults, _) in PRESETS.items():
+            validate(preset(name))
+            out = tmp_path / f"{name}.json"
+            assert main(["analyze", "--preset", name, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["config"]["channel"]["params"] == defaults
 
     def test_param_out_of_range(self):
         with pytest.raises(ParamOutOfRange):
@@ -212,6 +215,41 @@ class TestPresets:
             preset("amplitude_damping", gamma=-0.1)
         with pytest.raises(ParamOutOfRange):
             preset("identity", p=0.5)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("random", {"seed": -1}),
+        ("random", {"seed": [1, -2]}),
+        ("random", {"seed": 1.5}),
+        ("random", {"seed": "abc"}),
+        ("amplitude_damping", {"gamma": None}),
+        ("depolarizing", {"p": "x"}),
+        ("depolarizing", {"p": 10**400}),
+        ("dephasing", {"p": True}),
+        ("dephasing", {"p": float("nan")}),
+        ("partial_teleportation", {"lam0": -0.5}),
+        ("random", {"dim": 2.5}),
+        ("random", {"kraus": 0}),
+        ("identity", {"dim": "3"}),
+    ],
+    ids=[
+        "seed-negative", "seed-list-negative", "seed-fraction", "seed-string", "gamma-none",
+        "p-string", "p-past-float", "p-bool", "p-nan", "lam0-negative", "dim-fraction",
+        "kraus-zero", "dim-string",
+    ],
+)
+def test_bad_preset_values_raise_param_out_of_range(name, params):
+    with pytest.raises(ParamOutOfRange):
+        preset(name, **params)
+
+
+@pytest.mark.parametrize("seed", [3, [3, 1]])
+def test_a_generator_seed_builds_its_integer_twin(seed):
+    twin = preset("random", dim=3, kraus=2, seed=seed)
+    ch = preset("random", dim=3, kraus=2, seed=np.random.default_rng(seed))
+    assert np.array_equal(ch.stack, twin.stack)
 
 
 class TestChannelSuite:

@@ -108,8 +108,9 @@ class TestAnalyze:
             (["--preset", "eraser_cnot"], ["--kraus", "2"]),
             (["--preset", "identity"], ["--kraus", "3"]),
             (["--channel", "CHANNEL"], ["--dim", "2"]),
+            (["--channel", "CHANNEL"], ["--param", "0.9"]),
         ],
-        ids=["dephasing", "eraser-kraus", "identity-kraus", "file-dim"],
+        ids=["dephasing", "eraser-kraus", "identity-kraus", "file-dim", "file-param"],
     )
     @pytest.mark.parametrize("command", ["analyze", "optimize"])
     def test_size_flags_the_channel_does_not_take(self, tmp_path, capsys, command, source, flags):
@@ -311,6 +312,25 @@ class TestAnalyze:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "dephasing"],
+        ["optimize", "--preset", "dephasing"],
+        ["scenario", "--name", "eraser"],
+        ["verify", "--trials", "1"],
+    ],
+    ids=["analyze", "optimize", "scenario", "verify"],
+)
+def test_negative_seed_exits_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: ParamOutOfRange: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestScenario:

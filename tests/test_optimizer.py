@@ -270,6 +270,35 @@ class TestDetectRandomUnitary:
             assert verdict.is_random_unitary, name
             assert choi_distance(witness_channel(verdict), ch) < 1e-6
 
+    @pytest.mark.parametrize("kraus", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scrambled_random_unitary_mixture_is_found(self, d, kraus):
+        # sum_k p_k U_k rho U_k^dag, stored as E'_j = sum_k W[j,k] sqrt(p_k) U_k
+        # with a Haar W, so no Kraus operator is itself a scaled unitary
+        rng = np.random.default_rng([d, kraus])
+        unitaries = [haar_isometry(d, d, rng) for _ in range(kraus)]
+        weights = rng.uniform(0.5, 1.5, kraus)
+        weights /= weights.sum()
+        scramble = haar_isometry(kraus, kraus, rng)
+        ch = kraus_channel(
+            np.einsum("jk,k,kab->jab", scramble, np.sqrt(weights), np.array(unitaries))
+        )
+        verdict = detect_random_unitary(ch, seed=0)
+        assert verdict.is_random_unitary
+        assert choi_distance(witness_channel(verdict), ch) < 1e-6
+
+    def test_werner_holevo_channel_is_not_random_unitary(self):
+        # the d = 3 Werner-Holevo channel, (|i><j| - |j><i|)/sqrt2 over i < j,
+        # is unital but not a mixture of unitaries
+        ops = []
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            e = np.zeros((3, 3), dtype=complex)
+            e[i, j], e[j, i] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+            ops.append(e)
+        verdict = detect_random_unitary(kraus_channel(ops), seed=0)
+        assert not verdict.is_random_unitary
+        assert verdict.witness is None
+
     def test_soundness_on_random_channels(self):
         # any true verdict must reconstruct the channel
         rng = np.random.default_rng(11)
