@@ -9,6 +9,7 @@ inequality slack below -1e-9).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--ic-size", type=int, default=0, help="IC ensemble size (0 = dim^2)")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--out", default="analyze.json")
-    analyze.set_defaults(func=cmd_analyze)
 
     optimize = sub.add_parser("optimize", help="search for the best erasure measurement")
     _add_channel_source(optimize)
@@ -333,14 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--out", default="optimize.json")
     optimize.add_argument("--trace-csv", default=None, help="also stream the iteration trace")
-    optimize.set_defaults(func=cmd_optimize)
 
     verify = sub.add_parser("verify", help="randomized verification sweep")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--dims", default="2,3", help="comma-separated dimensions")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default="verify.csv")
-    verify.set_defaults(func=cmd_verify)
 
     scenario = sub.add_parser("scenario", help="closed-form sweep curves as CSV")
     scenario.add_argument("--name", choices=["eraser", "teleport"], required=True)
@@ -348,14 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--restarts", type=int, default=8, help="teleport optimized column")
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--out", default="scenario.csv")
-    scenario.set_defaults(func=cmd_scenario)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept: it holds no handler, so
+    # replacing a cmd_* function of this module still reaches main
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one request; may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             return EXIT_OK
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ParamOutOfRange(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ErasureKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,7 +60,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel, _check_entries, _check_state, kraus_channel, validate
+from .channels import (
+    COMPLETENESS_ATOL,
+    KrausChannel,
+    _check_entries,
+    _check_state,
+    kraus_channel,
+    validate,
+)
 from .errors import BadOutcomeCount, ParamOutOfRange
 from .probes import (
     OUTCOME_FLOOR,
@@ -116,7 +123,8 @@ class RandomUnitaryVerdict:
 
     When true, ``witness`` holds pairs (weight, unitary) whose mixture
     reproduces the channel; ``residual`` measures how far the normalized
-    refined branches are from unitarity at the best mixing found.
+    branches are from unitarity at the polished mixing, or at the search's
+    best mixing when the unitality gap alone decides a false verdict.
     """
 
     is_random_unitary: bool
@@ -384,6 +392,19 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
     return best
 
 
+def _normalized_branches(ops, w):
+    """The branches E'_j = sum_k W[j,k] E_k with p(j) = Tr[E'_j^dag E'_j] / d >= OUTCOME_FLOOR,
+    each scaled to N_j = E'_j / sqrt(p(j)); returns their p(j), the N_j, and the
+    residual max |N_j^dag N_j - I| over entries."""
+    d = ops.shape[-1]
+    branches = np.einsum("jk,kab->jab", w, ops)
+    probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d
+    kept = probs >= OUTCOME_FLOOR
+    normalized = branches[kept] / np.sqrt(probs[kept])[:, None, None]
+    residual = float(np.abs(numerics.dagger(normalized) @ normalized - np.eye(d)).max())
+    return probs[kept], normalized, residual
+
+
 def detect_random_unitary(
     channel: KrausChannel,
     *,
@@ -394,14 +415,33 @@ def detect_random_unitary(
     """Decide numerically whether the channel mixes unitaries.
 
     Optimizes erasure at the maximally mixed state, then polishes the best
-    mixing with further ascent so the normalized branches E'_j / sqrt(p(j) d)
+    mixing with further ascent so the normalized branches N_j = E'_j / sqrt(p(j))
     can be tested for unitarity at witness precision. ``result`` is reused in
     place of the search only when it was optimized at the maximally mixed
     state with as many outcomes as the channel has Kraus operators, as a
     default ``optimize_erasure`` run is. A true verdict needs the optimum
-    within RANDOM_UNITARY_TOL of one, branch residuals below
+    within RANDOM_UNITARY_TOL of one, a residual max |N_j^dag N_j - I| below
     10 sqrt(RANDOM_UNITARY_TOL), and near-zero mutual information across
     seeded random ensembles.
+
+    Every mixture of unitaries is unital, and a channel far from unital is
+    settled before the polish. For any m x K isometry W the branches keep
+    sum_j E'_j E'_j^dag = sum_k E_k E_k^dag. N_j N_j^dag and N_j^dag N_j share
+    their spectrum, and a d x d spectral norm is at most d times the largest
+    entry, so ||E'_j E'_j^dag - p(j) I||_2 <= d p(j) residual for each kept
+    branch. A dropped branch, p(j) < OUTCOME_FLOOR, has ||E'_j E'_j^dag||_2 <=
+    d p(j); and sum_j p(j) is one within COMPLETENESS_ATOL, since ``validate``
+    bounds every entry of sum_k E_k^dag E_k - I by it. Summing over the m
+    outcomes, any mixing whose residual passes gives
+
+        gap = ||sum_k E_k E_k^dag - I||_2
+            <= d residual + (d + 1) m OUTCOME_FLOOR + COMPLETENESS_ATOL,
+
+    up to a relative COMPLETENESS_ATOL on the first term. So when the gap
+    exceeds twice this bound at the residual limit (the factor covers that
+    term and rounding), no mixing passes, the polish cannot change the
+    verdict and is skipped: the verdict is false, with ``residual`` taken at
+    the search's best mixing. Other channels take the polish.
     """
     validate(channel)
     d = channel.dim
@@ -416,15 +456,15 @@ def detect_random_unitary(
     if not reusable:
         result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
     ops = channel.stack
+    limit = 10 * np.sqrt(RANDOM_UNITARY_TOL)
+    gap = np.linalg.norm(np.einsum("kab,kcb->ac", ops, ops.conj()) - np.eye(d), 2)
+    if gap > 2 * (d * limit + (d + 1) * kk * OUTCOME_FLOOR + COMPLETENESS_ATOL):
+        residual = _normalized_branches(ops, result.best_mixing.mixing)[2]
+        return RandomUnitaryVerdict(False, None, residual)
     w, best_value = _polish(ops @ rho, result.best_mixing.mixing, POLISH_ITERS)
+    probs, normalized, residual = _normalized_branches(ops, w)
 
-    branches = np.einsum("jk,kab->jab", w, ops)
-    probs = np.einsum("jab,jab->j", branches.conj(), branches).real / d
-    kept = probs >= OUTCOME_FLOOR
-    normalized = branches[kept] / np.sqrt(probs[kept])[:, None, None]
-    residual = float(np.abs(numerics.dagger(normalized) @ normalized - np.eye(d)).max())
-
-    if best_value < 1 - RANDOM_UNITARY_TOL or residual >= 10 * np.sqrt(RANDOM_UNITARY_TOL):
+    if best_value < 1 - RANDOM_UNITARY_TOL or residual >= limit:
         return RandomUnitaryVerdict(False, None, residual)
 
     meas = probe_measurement(w)
@@ -433,7 +473,7 @@ def detect_random_unitary(
         if mutual_information(joint_distribution(channel, ens, meas)) >= 1e-5:
             return RandomUnitaryVerdict(False, None, residual)
 
-    weights = probs[kept] / probs[kept].sum()
+    weights = probs / probs.sum()
     unitaries = numerics._polar_factors(normalized)[1]
     witness = tuple((float(p), u) for p, u in zip(weights, unitaries))
     return RandomUnitaryVerdict(True, witness, residual)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from erasurekit import numerics
-from erasurekit.channels import KrausChannel, _check_state, validate
-from erasurekit.probes import ICEnsemble, ProbeMeasurement
+from erasurekit.channels import COMPLETENESS_ATOL, KrausChannel, _check_state, validate
+from erasurekit.optimizer import RANDOM_UNITARY_TOL
+from erasurekit.probes import OUTCOME_FLOOR, ICEnsemble, ProbeMeasurement
 from erasurekit.serialize import encode_matrix
 
 # Two measurements are equal when their rows agree within this, up to phase.
@@ -118,3 +119,35 @@ def reconstruct(ic: ICEnsemble, observable) -> np.ndarray:
 def channel_to_dict(channel: KrausChannel) -> dict:
     """The explicit-operator JSON form that ``serialize.channel_from_dict`` reads."""
     return {"dim": channel.dim, "kraus": [encode_matrix(e) for e in channel.operators]}
+
+
+def unitality_gap(channel: KrausChannel) -> float:
+    """||sum_k E_k E_k^dag - I||_2, a Kraus sum at a time; zero for every mixture of unitaries."""
+    deviation = sum(e @ e.conj().T for e in channel.operators) - np.eye(channel.dim)
+    return float(np.abs(np.linalg.eigvalsh(deviation)).max())
+
+
+def certificate_bound(dim: int, outcomes: int) -> float:
+    """The largest unitality gap a true random-unitary verdict allows (see
+    ``detect_random_unitary``): d 10 sqrt(RANDOM_UNITARY_TOL) + (d + 1) m
+    OUTCOME_FLOOR + COMPLETENESS_ATOL."""
+    return (
+        dim * 10 * np.sqrt(RANDOM_UNITARY_TOL)
+        + (dim + 1) * outcomes * OUTCOME_FLOOR
+        + COMPLETENESS_ATOL
+    )
+
+
+def branch_residual(channel: KrausChannel, mixing) -> float:
+    """max |N_j^dag N_j - I| over the branches E'_j = sum_k W[j,k] E_k of probability
+    p(j) = Tr[E'_j^dag E'_j] / d >= OUTCOME_FLOOR at the maximally mixed state,
+    with N_j = E'_j / sqrt(p(j)), one branch at a time."""
+    d = channel.dim
+    worst = 0.0
+    for row in np.asarray(mixing):
+        branch = sum(w * e for w, e in zip(row, channel.operators))
+        p = float(np.trace(branch.conj().T @ branch).real) / d
+        if p >= OUTCOME_FLOOR:
+            n = branch / np.sqrt(p)
+            worst = max(worst, float(np.abs(n.conj().T @ n - np.eye(d)).max()))
+    return worst

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from erasurekit import cli
 from erasurekit.cli import main
 from erasurekit.serialize import (
     channel_from_dict,
@@ -331,6 +332,21 @@ def test_negative_seed_exits_with_one_error_line(tmp_path, capsys, argv):
     assert captured.err == "error: ParamOutOfRange: --seed must be >= 0, got -1\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_dispatch_reads_the_handler_when_main_runs(tmp_path, monkeypatch):
+    # the parser is kept after the first call, so it must not hold the handlers
+    assert main(["scenario", "--name", "eraser", "--grid", "2", "--out", str(tmp_path / "a.csv")]) == 0
+    seen = []
+
+    def stub(args):
+        seen.append((args.command, args.name, args.grid))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_scenario", stub)
+    assert main(["scenario", "--name", "teleport", "--grid", "3", "--out", str(tmp_path / "x.csv")]) == 0
+    assert seen == [("scenario", "teleport", 3)]
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestScenario:

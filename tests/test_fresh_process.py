@@ -1,11 +1,15 @@
-"""Reruns in fresh interpreters write the same bytes.
+"""Reruns in fresh interpreters, and requests served one after another in
+one process, write the same bytes.
 
 Each case is one CI rerun-and-cmp step at a small size: the command runs
 twice, each time as its own ``python -m erasurekit.cli`` process with its
 own hash seed, and both runs write the same path, since the path is part of
-the recorded configuration.
+the recorded configuration. The same cases then run through ``cli.main`` in
+one process, between requests that fail or print help, and each must write
+what its fresh process wrote.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import erasurekit
+from erasurekit import cli
 
 SRC = str(Path(erasurekit.__file__).resolve().parent.parent)
 
@@ -46,20 +51,66 @@ CASES = {
 }
 
 
-def _run(argv, cwd) -> bytes:
+def _out(argv) -> str:
+    return argv[argv.index("--out") + 1]
+
+
+def _write_channel(cwd) -> None:
+    (cwd / "channel.json").write_text(
+        json.dumps({"preset": "random", "params": {"dim": 3, "kraus": 2, "seed": [1, 2]}})
+    )
+
+
+def _run(argv, cwd) -> tuple[bytes, str]:
     path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     env.pop("PYTHONHASHSEED", None)
-    subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-m", "erasurekit.cli", *argv], cwd=cwd, env=env, check=True,
-        capture_output=True,
+        capture_output=True, text=True,
     )
-    return (cwd / argv[argv.index("--out") + 1]).read_bytes()
+    return (cwd / _out(argv)).read_bytes(), done.stdout
 
 
-@pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
-def test_rerun_in_a_fresh_process_is_byte_identical(tmp_path, argv):
-    (tmp_path / "channel.json").write_text(
-        json.dumps({"preset": "random", "params": {"dim": 3, "kraus": 2, "seed": [1, 2]}})
-    )
-    assert _run(argv, tmp_path) == _run(argv, tmp_path)
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """Output bytes and stdout of each case's first fresh-process run, run once per module."""
+    runs = {}
+
+    def run(case):
+        if case not in runs:
+            cwd = tmp_path_factory.mktemp(case)
+            _write_channel(cwd)
+            runs[case] = _run(CASES[case], cwd)
+        return runs[case]
+
+    return run
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rerun_in_a_fresh_process_is_byte_identical(tmp_path, case, fresh):
+    _write_channel(tmp_path)
+    assert _run(CASES[case], tmp_path) == fresh(case)
+
+
+# requests that end before writing anything: a usage error, help, a typed error
+BETWEEN = [
+    (["analyze"], 1),
+    (["--help"], 0),
+    (["verify", "--trials", "2", "--seed", "-1", "--out", "never.csv"], 1),
+]
+
+
+def test_one_process_serving_many_requests_writes_fresh_process_bytes(
+    tmp_path, monkeypatch, capsys, fresh
+):
+    monkeypatch.chdir(tmp_path)
+    _write_channel(tmp_path)
+    between = itertools.cycle(BETWEEN)
+    for case, argv in CASES.items():
+        extra, code = next(between)
+        assert cli.main(extra) == code, extra
+        capsys.readouterr()
+        assert cli.main(argv) == 0, case
+        assert ((tmp_path / _out(argv)).read_bytes(), capsys.readouterr().out) == fresh(case), case
+    assert not (tmp_path / "never.csv").exists()

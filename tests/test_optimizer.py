@@ -24,18 +24,49 @@ from erasurekit.optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
+    POLISH_ITERS,
+    RANDOM_UNITARY_TOL,
     RESTART_TIE_ATOL,
     WARMUP,
     _ascend,
     _polish,
     _start,
 )
+from reference import branch_residual, certificate_bound, unitality_gap
 
 MIXED = np.eye(2, dtype=complex) / 2
 
 
 def projector_channel():
     return preset("eraser_cnot")
+
+
+def werner_holevo_channel():
+    # the d = 3 Werner-Holevo channel, (|i><j| - |j><i|)/sqrt2 over i < j,
+    # is unital but not a mixture of unitaries
+    ops = []
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        e = np.zeros((3, 3), dtype=complex)
+        e[i, j], e[j, i] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        ops.append(e)
+    return kraus_channel(ops)
+
+
+def assert_below_the_certificate(ch):
+    assert unitality_gap(ch) < certificate_bound(ch.dim, ch.kraus_count)
+
+
+@pytest.fixture
+def polish_calls(monkeypatch):
+    """Records each call of the witness polish and lets it run."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _polish(*args)
+
+    monkeypatch.setattr(optimizer, "_polish", spy)
+    return calls
 
 
 def rows_match_up_to_phase(w, reference, tol=1e-6):
@@ -243,6 +274,7 @@ class TestDetectRandomUnitary:
                     matched.add(i)
         assert matched == {0, 1}
         assert choi_distance(witness_channel(verdict), projector_channel()) < 1e-6
+        assert_below_the_certificate(projector_channel())
 
     def test_unitary_channel(self):
         u = haar_isometry(2, 2, 77)
@@ -254,6 +286,7 @@ class TestDetectRandomUnitary:
         assert weight == pytest.approx(1.0, abs=1e-12)
         inner = complex(np.trace(u.conj().T @ witness_u)) / 2
         assert np.abs(witness_u - inner / abs(inner) * u).max() < 1e-9
+        assert_below_the_certificate(ch)
 
     def test_amplitude_damping_rejected(self):
         ch = preset("amplitude_damping", gamma=0.5)
@@ -269,6 +302,7 @@ class TestDetectRandomUnitary:
             verdict = detect_random_unitary(ch, seed=5)
             assert verdict.is_random_unitary, name
             assert choi_distance(witness_channel(verdict), ch) < 1e-6
+            assert_below_the_certificate(ch)
 
     @pytest.mark.parametrize("kraus", [2, 3, 4])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -286,18 +320,17 @@ class TestDetectRandomUnitary:
         verdict = detect_random_unitary(ch, seed=0)
         assert verdict.is_random_unitary
         assert choi_distance(witness_channel(verdict), ch) < 1e-6
+        assert_below_the_certificate(ch)
 
-    def test_werner_holevo_channel_is_not_random_unitary(self):
-        # the d = 3 Werner-Holevo channel, (|i><j| - |j><i|)/sqrt2 over i < j,
-        # is unital but not a mixture of unitaries
-        ops = []
-        for i, j in [(0, 1), (0, 2), (1, 2)]:
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j], e[j, i] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-            ops.append(e)
-        verdict = detect_random_unitary(kraus_channel(ops), seed=0)
+    def test_werner_holevo_channel_is_not_random_unitary(self, polish_calls):
+        # unital, so the gap does not decide it: the polish runs, and the
+        # search's best value of 2/3 rejects it
+        ch = werner_holevo_channel()
+        verdict = detect_random_unitary(ch, seed=0)
         assert not verdict.is_random_unitary
         assert verdict.witness is None
+        assert_below_the_certificate(ch)
+        assert len(polish_calls) == 1
 
     def test_soundness_on_random_channels(self):
         # any true verdict must reconstruct the channel
@@ -343,6 +376,47 @@ class TestDetectRandomUnitary:
             assert len(reused.witness) == len(fresh.witness)
             for (p, u), (q, v) in zip(reused.witness, fresh.witness):
                 assert p == q and np.array_equal(u, v)
+
+
+class TestUnitalityCertificate:
+    """Every mixture of unitaries is unital, so a channel whose unitality gap
+    exceeds the certificate bound is refused before the witness polish."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("amplitude_damping", {"gamma": 0.5}),
+            ("amplitude_damping", {"gamma": 0.05}),
+            ("partial_teleportation", {"lam0": 0.8}),
+            ("random", {"dim": 2, "kraus": 3, "seed": 1}),
+            ("random", {"dim": 3, "kraus": 4, "seed": 2}),
+            ("random", {"dim": 4, "kraus": 5, "seed": 3}),
+            ("random", {"dim": 4, "kraus": 16, "seed": 4}),
+        ],
+        ids=["damping", "weak-damping", "teleportation", "d2k3", "d3k4", "d4k5", "d4k16"],
+    )
+    def test_non_unital_channel_is_refused_without_the_polish(self, name, params, polish_calls):
+        ch = preset(name, **params)
+        assert unitality_gap(ch) > 2 * certificate_bound(ch.dim, ch.kraus_count)
+        result = optimize_erasure(ch, restarts=4, seed=1)
+        verdict = detect_random_unitary(ch, seed=1, result=result)
+        assert polish_calls == []
+        assert not verdict.is_random_unitary and verdict.witness is None
+        w = result.best_mixing.mixing
+        assert verdict.residual == pytest.approx(branch_residual(ch, w), rel=1e-9, abs=1e-15)
+        # the polish would not have changed the verdict: at the polished mixing
+        # the residual still fails the test a true verdict needs
+        rho = np.eye(ch.dim, dtype=complex) / ch.dim
+        w, _ = _polish(np.stack(ch.operators) @ rho, w, POLISH_ITERS)
+        assert branch_residual(ch, w) >= 10 * np.sqrt(RANDOM_UNITARY_TOL)
+
+    def test_channel_within_twice_the_bound_takes_the_polish(self, polish_calls):
+        # a gap of 0.03 is above the bound (0.02 at d = 2), but within the
+        # factor 2 left for rounding, so the polish decides
+        ch = preset("amplitude_damping", gamma=0.03)
+        assert certificate_bound(2, 2) < unitality_gap(ch) < 2 * certificate_bound(2, 2)
+        assert not detect_random_unitary(ch, restarts=4, seed=1).is_random_unitary
+        assert len(polish_calls) == 1
 
 
 class TestProbeMeasurementRoundTrip:
@@ -564,14 +638,15 @@ class TestFusedKernel:
         assert stacked == []
 
     def test_two_svds_per_polish_step(self, svd_calls, monkeypatch):
-        ch = preset("random", dim=3, kraus=5, seed=33)
+        # a unital channel, so the unitality gap leaves the verdict to the polish
+        ch = werner_holevo_channel()
         result = optimize_erasure(ch, restarts=2, max_iters=2, seed=1)
         svd_calls.clear()
         polish_iters = 6
         monkeypatch.setattr("erasurekit.optimizer.POLISH_ITERS", polish_iters)
         verdict = detect_random_unitary(ch, result=result)
         assert not verdict.is_random_unitary
-        assert len(svd_calls) <= 1 + 2 * polish_iters
+        assert 1 <= len(svd_calls) <= 1 + 2 * polish_iters
 
     def test_extrapolation_converges_where_plain_mm_stalls(self):
         ch = preset("random", dim=4, kraus=16, seed=0)
