@@ -20,12 +20,12 @@ Qubit work takes its small decompositions in closed form, because for a
 2 x 2 matrix a LAPACK call costs far more than its arithmetic: on a 2-core
 x86 host with OpenBLAS, a stacked 2 x 2 SVD takes about 15 us per call plus
 4 us per matrix, the closed-form polar factor about 30 us per call plus
-under 0.5 us per matrix. ``_trace_norms``
-and ``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary polar
-factor without an SVD, and ``_haar`` writes out the QR of a 2 x 2 Ginibre
-draw. Each selects its path by shape: every other shape takes LAPACK, so its
-results do not change by a bit; the closed forms agree with LAPACK to a few
-ulps.
+under 0.5 us per matrix. ``_trace_norms`` (also under ``trace_norm``'s
+cache) and ``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary
+polar factor without an SVD, and ``_haar`` writes out the QR of a 2 x 2
+Ginibre draw. Each selects its path by shape: every other shape takes LAPACK,
+so its results do not change by a bit; the closed forms agree with LAPACK to
+a few ulps.
 """
 
 from __future__ import annotations
@@ -160,14 +160,14 @@ def psd_sqrt(p) -> np.ndarray:
     return hermitize((v * np.sqrt(w)) @ dagger(v))
 
 
-def psd_power(p, exponent: float, *, cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """PSD matrix power restricted to the support (eigenvalues above ``cutoff``).
+def psd_power(p, exponent: float) -> np.ndarray:
+    """PSD matrix power restricted to the support (eigenvalues above ``RANK_CUTOFF``).
 
     Negative exponents give the pseudo-inverse power on the support, which is
     how every rho**(+-1/2) in this package is taken.
     """
     w, v = psd_eigh(p)
-    keep = w > cutoff
+    keep = w > RANK_CUTOFF
     vk = v[:, keep]
     return hermitize((vk * w[keep] ** exponent) @ dagger(vk))
 
@@ -180,11 +180,11 @@ def support_rank(p) -> int:
 
 @lru_cache(maxsize=64)
 def _cached_trace_norm(digest: _Digest) -> float:
-    return float(np.linalg.svd(digest.take(), compute_uv=False).sum())
+    return float(_trace_norms(digest.take()))
 
 
 def trace_norm(a) -> float:
-    """Trace norm ||a||_1 = sum of singular values."""
+    """Trace norm ||a||_1 = sum of singular values, by the kernel ``_trace_norms``."""
     return _cached_trace_norm(_Digest(as_matrix(a)))
 
 

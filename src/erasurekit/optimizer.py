@@ -34,10 +34,10 @@ skips a number where an extrapolation was rejected.
 All restarts of a search advance in lockstep, in rounds, and so do the
 searches of several problems of one shape (the teleport sweep's grid
 points): each ascent carries its own operators E_k rho. In each round every
-running ascent makes one evaluation: its plain MM step or its S3 trial. The
-plain steps share one stacked polar factor of G, the S3 trials one stacked
-retraction, and all new points one stacked branch evaluation; then each
-ascent applies its own guard, path, budget and stop rule, and leaves the
+running ascent makes one evaluation: its plain MM step or its S3 trial. All
+new points come from one stacked polar factor, a plain step's point
+conj(polar(G)) being polar(conj(G)), and one stacked branch evaluation; then
+each ascent applies its own guard, path, budget and stop rule, and leaves the
 stack when it stops. Stacked kernels return the same bits as per-matrix
 calls, so every ascent follows the trajectory it would follow alone, and a
 search of one problem stacks its operators once, not per round. Ascents run
@@ -48,9 +48,9 @@ group draws it once and shares it among its problems.
 
 The ascent in ``optimize_erasure`` and the polish in ``detect_random_unitary``
 walk the same accelerated loop and differ only in their stop rules. The
-do-nothing mixing W = I is always restart 0, a deterministically perturbed
-identity is restart 1 (the exact identity can sit on an unstable fixed point
-of the ascent map), and the remaining restarts are seeded Haar isometries.
+do-nothing mixing W = I is always restart 0, restart 1 is the polar factor of
+a perturbed identity (for m = K that is I up to rounding, so restart 1 tracks
+restart 0), and the remaining restarts are seeded Haar isometries.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class RandomUnitaryVerdict:
 
     When true, ``witness`` holds pairs (weight, unitary) whose mixture
     reproduces the channel; ``residual`` measures how far the normalized
-    branches are from unitarity at the polished mixing, or at the search's
-    best mixing when the unitality gap alone decides a false verdict.
+    branches are from unitarity at the polished mixing, or at the best mixing
+    searched or supplied when the unitality gap alone decides a false verdict.
     """
 
     is_random_unitary: bool
@@ -185,10 +185,10 @@ def _round(ascents, shared):
 
     An ascent whose path holds w0 -> w1 -> w2 evaluates its S3 point, unless
     alpha = -1 makes that point w2 itself; every other ascent takes its plain
-    MM step. The plain steps share one stacked polar factor of G, the S3
-    points one stacked retraction, and all new points one stacked branch
-    evaluation. ``shared`` holds the operators when every ascent searches
-    the same problem.
+    MM step. All new points come from one stacked polar factor, of conj(G)
+    for the plain steps and of the S3 points for the trials, and are
+    evaluated in one stacked branch evaluation. ``shared`` holds the
+    operators when every ascent searches the same problem.
     """
     plain, trials, points = [], [], []
     for a in ascents:
@@ -204,14 +204,14 @@ def _round(ascents, shared):
                 points.append(w0 - 2 * alpha * r + alpha**2 * v)
                 continue
         plain.append(a)
-    new = []
+    stacks = []
     if plain:
         flat_t = _flat(_operators(plain, shared)).swapaxes(-1, -2)
         g = np.stack([a.t for a in plain])[:, :, None] * (np.stack([a.u for a in plain]) @ flat_t)
-        new.append(numerics._polar_factors(g)[1].conj())
+        stacks.append(g.conj())
     if trials:
-        new.append(numerics._polar_factors(np.stack(points))[1])
-    w = new[0] if len(new) == 1 else np.concatenate(new)
+        stacks.append(np.stack(points))
+    w = numerics._polar_factors(np.concatenate(stacks))[1]
     stepped = plain + trials
     values, t, u = _evaluate(_operators(stepped, shared), w)
     accepted = []
@@ -275,9 +275,11 @@ def _identity_start(m: int, kk: int) -> np.ndarray:
 
 
 def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
-    # symmetric configurations like the which-path readout are exact (unstable)
-    # fixed points of the ascent map; a tiny fixed real-generic offset lets the
-    # trajectory fall off them while staying real for real-valued problems
+    # a tiny fixed offset meant to move the start off W = I, which can be an
+    # unstable fixed point of the ascent map (the which-path readout). For m = K
+    # the sine grid is symmetric, so the polar factor is I again within ~1e-15
+    # and the start leaves the fixed point only through LAPACK's rounding; the
+    # offset survives, at about 6e-7, only when m > K
     grid = np.sin(2.39996 * np.outer(np.arange(1, m + 1), np.arange(1, kk + 1)))
     x, _, yh = np.linalg.svd(_identity_start(m, kk) + 1e-6 * grid, full_matrices=False)
     return (x @ yh).astype(complex)
@@ -416,13 +418,13 @@ def detect_random_unitary(
 
     Optimizes erasure at the maximally mixed state, then polishes the best
     mixing with further ascent so the normalized branches N_j = E'_j / sqrt(p(j))
-    can be tested for unitarity at witness precision. ``result`` is reused in
-    place of the search only when it was optimized at the maximally mixed
-    state with as many outcomes as the channel has Kraus operators, as a
-    default ``optimize_erasure`` run is. A true verdict needs the optimum
-    within RANDOM_UNITARY_TOL of one, a residual max |N_j^dag N_j - I| below
-    10 sqrt(RANDOM_UNITARY_TOL), and near-zero mutual information across
-    seeded random ensembles.
+    can be tested for unitarity at witness precision. ``result`` replaces the
+    search when it was optimized at the maximally mixed state with as many
+    outcomes as Kraus operators, as a default ``optimize_erasure`` run is, or,
+    at any state and outcome count, when the unitality gap refuses the channel.
+    A true verdict needs the optimum within RANDOM_UNITARY_TOL of one, a
+    residual max |N_j^dag N_j - I| below 10 sqrt(RANDOM_UNITARY_TOL), and
+    near-zero mutual information across seeded random ensembles.
 
     Every mixture of unitaries is unital, and a channel far from unital is
     settled before the polish. For any m x K isometry W the branches keep
@@ -441,24 +443,22 @@ def detect_random_unitary(
     exceeds twice this bound at the residual limit (the factor covers that
     term and rounding), no mixing passes, the polish cannot change the
     verdict and is skipped: the verdict is false, with ``residual`` taken at
-    the search's best mixing. Other channels take the polish.
+    the best mixing of ``result``, if given, else of the search. Other
+    channels take the polish.
     """
     validate(channel)
     d = channel.dim
     rho = _maximally_mixed(d)
     kk = channel.kraus_count
-    reusable = (
-        result is not None
-        and result.best_mixing.kraus_count == kk
-        and result.best_mixing.outcomes == kk
-        and np.array_equal(result.state, rho)
-    )
-    if not reusable:
-        result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
     ops = channel.stack
     limit = 10 * np.sqrt(RANDOM_UNITARY_TOL)
     gap = np.linalg.norm(np.einsum("kab,kcb->ac", ops, ops.conj()) - np.eye(d), 2)
-    if gap > 2 * (d * limit + (d + 1) * kk * OUTCOME_FLOOR + COMPLETENESS_ATOL):
+    refused = gap > 2 * (d * limit + (d + 1) * kk * OUTCOME_FLOOR + COMPLETENESS_ATOL)
+    fits = result is not None and result.best_mixing.kraus_count == kk
+    reusable = fits and result.best_mixing.outcomes == kk and np.array_equal(result.state, rho)
+    if not (reusable or fits and refused):
+        result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
+    if refused:
         residual = _normalized_branches(ops, result.best_mixing.mixing)[2]
         return RandomUnitaryVerdict(False, None, residual)
     w, best_value = _polish(ops @ rho, result.best_mixing.mixing, POLISH_ITERS)

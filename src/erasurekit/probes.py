@@ -289,11 +289,11 @@ def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
     g = _complex_normal(numerics._rng(seed), members, (r,))
     vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
     outers = vecs[:, :, None] * vecs.conj()[:, None, :]
-    gram = outers.sum(axis=0)
-    gw = np.linalg.eigvalsh(numerics.hermitize(gram))
+    # one psd_eigh for both: once the check passes, every eigenvalue is on the support
+    gw, gv = numerics.psd_eigh(outers.sum(axis=0))
     if float(gw.min()) <= cutoff * float(gw.max()):
         raise SingularAverage("frame vectors do not cover the support of rho")
-    g_inv_half = numerics.psd_power(gram, -0.5, cutoff=cutoff * float(gw.max()))
+    g_inv_half = numerics.hermitize((gv * gw**-0.5) @ numerics.dagger(gv))
     effects_s = g_inv_half @ outers @ g_inv_half
 
     frame = np.ascontiguousarray(effects_s.reshape(members, r * r).T)  # r^2 x members

@@ -23,6 +23,11 @@ def _ref_psd_eigh(p):
 
 
 def _ref_trace_norm(a):
+    # the arithmetic of numerics._trace_norms: the closed form
+    # sqrt(||A||_F^2 + 2 |det A|) for 2 x 2, the singular-value sum otherwise
+    if a.shape == (2, 2):
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return float(np.sqrt((a.real**2 + a.imag**2).sum() + 2 * np.abs(det)))
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 

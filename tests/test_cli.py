@@ -13,7 +13,7 @@ from erasurekit.serialize import (
     measurement_from_dict,
 )
 from erasurekit import hadamard_measurement, numerics, preset, random_ensemble
-from reference import channel_to_dict
+from reference import branch_residual, channel_to_dict
 
 
 EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -529,6 +529,31 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_extra_outcomes_on_a_far_from_unital_channel_search_once(self, tmp_path, monkeypatch):
+        # the unitality gap refuses the channel, so the random-unitary verdict
+        # takes its residual at this request's own best mixing, not at a second
+        # search with as many outcomes as Kraus operators
+        searches = []
+        real = cli.optimize_erasure
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_erasure", spy)
+        monkeypatch.setattr("erasurekit.optimizer.optimize_erasure", spy)
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--preset", "random", "--dim", "4", "--kraus", "16",
+                     "--restarts", "3", "--outcomes", "17", "--out", str(out)]) == 0
+        assert len(searches) == 1
+        payload = json.loads(out.read_text())
+        verdict = payload["random_unitary"]
+        assert verdict["is_random_unitary"] is False and "witness" not in verdict
+        w = decode_matrix(payload["result"]["best_mixing"])
+        assert w.shape == (17, 16)
+        expected = branch_residual(preset("random", dim=4, kraus=16, seed=0), w)
+        assert verdict["residual"] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_unconverged_run_warns_on_stderr_only(self, tmp_path, capsys):
         out = tmp_path / "opt.json"

@@ -3,7 +3,10 @@
 Flag values and JSON payloads are drawn by hypothesis. Every argv parses, so
 each outcome comes from the package: exit 0, 1 or 2, exactly one
 ``error: <Type>: ...`` line on stderr when it exits 1, and never an
-exception out of ``main``. Sizes stay small, so no request is slow.
+exception out of ``main``. Most of those requests stop at the input checks,
+so a second property draws only valid ``optimize`` requests, which all reach
+the search and about a fifth of which reach its S3 trials: each exits 0 with
+an ascent trace that never falls. Sizes stay small, so no request is slow.
 """
 
 import json
@@ -14,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from erasurekit import cli
+from erasurekit import cli, preset
 from erasurekit.channels import PRESETS
 
 ERROR_LINE = re.compile(r"error: [A-Za-z]+: .+")
@@ -132,3 +135,59 @@ def test_every_request_exits_cleanly_with_one_error_line_on_exit_1(
     assert "Traceback" not in err
     if code == 1:
         assert len(err.splitlines()) == 1 and ERROR_LINE.fullmatch(err.strip()), (argv, err)
+
+
+# in-range values for each preset parameter the CLI sets: --param for the
+# [0, 1] ones, --dim and --kraus for the sizes (kept small), --seed for seed
+PARAMS = {
+    "p": st.floats(0, 1),
+    "gamma": st.floats(0, 1),
+    "lam0": st.floats(0, 1),
+    "dim": st.integers(2, 3),
+    "kraus": st.integers(2, 5),
+    "seed": st.integers(0, 5),
+}
+FLAGS = {"p": "param", "gamma": "param", "lam0": "param", "dim": "dim", "kraus": "kraus"}
+
+
+@st.composite
+def optimize_requests(draw):
+    """A valid optimize argv, with budgets that may run past the warmup into S3 trials."""
+    # qubit presets settle in a step or two, so half the draws take the
+    # random preset, whose searches run past the warmup into S3 trials
+    name = draw(st.sampled_from(sorted(PRESETS)) | st.just("random"))
+    params = {k: draw(PARAMS[k]) for k in PRESETS[name][0]}
+    argv = ["optimize", f"--preset={name}"]
+    argv += [f"--{FLAGS[k]}={v!r}" for k, v in params.items() if k in FLAGS]
+    argv.append(f"--seed={params.get('seed', draw(PARAMS['seed']))}")
+    # zero operators are dropped, so the Kraus count comes from the channel
+    kk = preset(name, **params).kraus_count
+    argv.append(f"--outcomes={draw(st.sampled_from([0, kk, kk + 1, kk + 2]))}")
+    argv.append(f"--restarts={draw(st.integers(1, 3))}")
+    argv.append(f"--iters={draw(st.integers(11, 20))}")
+    if draw(st.booleans()):
+        argv.append("--tol=0")  # no early stop: every restart spends its budget
+    if draw(st.booleans()):
+        argv.append(f"--oracle={draw(st.integers(1, 200))}")
+    return argv + ["--out=out.json"]
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=optimize_requests())
+def test_valid_optimize_requests_search_and_never_descend(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    result = json.loads((tmp_path / "out.json").read_text())["result"]
+    last = {}
+    for restart, evaluation, value in result["trace"]:
+        if restart in last:
+            assert value >= last[restart] - 1e-12, (argv, restart, evaluation)
+        last[restart] = value
+    # plain steps are accepted unconditionally, so at a fixed point rounding
+    # may lower F by an ulp or so: W = I's value bounds the best within 1e-12
+    first = result["trace"][0]
+    assert first[:2] == [0, 0]
+    assert result["best_value"] >= first[2] - 1e-12, argv

@@ -33,6 +33,11 @@ CASES = {
         "optimize", "--preset", "random", "--dim", "3", "--kraus", "3", "--oracle", "500",
         "--restarts", "4", "--out", "optimize.json",
     ],
+    # far from unital, so the verdict takes its residual at this search's mixing
+    "optimize-outcomes-dim3": [
+        "optimize", "--preset", "random", "--dim", "3", "--kraus", "3", "--outcomes", "4",
+        "--restarts", "3", "--out", "optimize.json",
+    ],
     "scenario-eraser": ["scenario", "--name", "eraser", "--grid", "9", "--out", "eraser.csv"],
     "scenario-teleport": [
         "scenario", "--name", "teleport", "--grid", "3", "--restarts", "2",

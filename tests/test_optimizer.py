@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,9 @@ from erasurekit.optimizer import (
     RESTART_TIE_ATOL,
     WARMUP,
     _ascend,
+    _begin,
     _polish,
+    _round,
     _start,
 )
 from reference import branch_residual, certificate_bound, unitality_gap
@@ -66,6 +69,19 @@ def polish_calls(monkeypatch):
         return _polish(*args)
 
     monkeypatch.setattr(optimizer, "_polish", spy)
+    return calls
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Records each search ``detect_random_unitary`` starts, and lets it run."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return optimize_erasure(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize_erasure", spy)
     return calls
 
 
@@ -362,11 +378,19 @@ class TestDetectRandomUnitary:
         "name,params",
         [("dephasing", {"p": 0.25}), ("random", {"dim": 2, "kraus": 2, "seed": 3})],
     )
-    def test_result_with_extra_outcomes_is_not_reused(self, name, params):
+    def test_result_with_extra_outcomes_is_not_reused(self, name, params, search_calls):
         ch = preset(name, **params)
         result = optimize_erasure(ch, MIXED, 3, seed=6)
         assert result.best_mixing.outcomes == 3
         reused = detect_random_unitary(ch, seed=6, result=result)
+        if unitality_gap(ch) > 2 * certificate_bound(ch.dim, ch.kraus_count):
+            # the gap refuses the channel whatever the search finds, so the
+            # residual is taken at the supplied mixing and no search runs
+            assert search_calls == []
+            assert not reused.is_random_unitary and reused.witness is None
+            w = result.best_mixing.mixing
+            assert reused.residual == pytest.approx(branch_residual(ch, w), rel=1e-9, abs=1e-15)
+            return
         fresh = detect_random_unitary(ch, seed=6)
         assert reused.is_random_unitary == fresh.is_random_unitary
         assert reused.residual == fresh.residual
@@ -604,11 +628,11 @@ class TestFusedKernel:
         evaluations = _evaluations(result.trace, max_iters, tol)
         # + 1: building the perturbed-identity start of restart 1 takes one SVD
         assert len(svd_calls) <= 2 * evaluations + restarts + 1
-        # in lockstep, a round makes at most three stacked SVDs: the plain
-        # steps' G, the S3 retractions and the branches of every new point
+        # in lockstep, a round makes two stacked SVDs: one for the new points
+        # (the plain steps' conj(G) and the S3 points) and one for their branches
         rounds = max(_evaluations([row for row in result.trace if row[0] == r], max_iters, tol)
                      for r in range(restarts))
-        assert len(svd_calls) <= 1 + 1 + 3 * rounds
+        assert len(svd_calls) <= 1 + 1 + 2 * rounds
 
     @pytest.mark.parametrize(
         "search",
@@ -681,7 +705,39 @@ def _bits(result):
     return trace, result.best_value.hex(), result.best_mixing.mixing.tobytes(), result.converged
 
 
+def _takes_s3(a):
+    # _round's condition for an S3 trial: a full path and alpha < -1
+    if len(a.path) != 3:
+        return False
+    w0, w1, w2 = a.path
+    r = w1 - w0
+    return np.linalg.norm(r) > np.linalg.norm(w2 - w1 - r) > 0
+
+
 class TestLockstep:
+    @pytest.mark.parametrize("plain", [4, 0, 2], ids=["plain", "s3", "mixed"])
+    def test_one_polar_factor_per_round(self, plain, monkeypatch):
+        # the plain steps' conj(G) and the S3 points share one stacked polar
+        # factor; the other call is the branch evaluation's
+        ch = preset("random", dim=3, kraus=4, seed=5)
+        ops = ch.stack @ (np.eye(3, dtype=complex) / 3)
+        ascents = _begin([ops], [_start(r, 4, 4, 0) for r in range(4)])
+        while len(ascents[0].path) < 3:
+            _round(ascents, ops)
+        for a in ascents[:plain]:
+            a.path = [a.w]
+        assert [_takes_s3(a) for a in ascents] == [False] * plain + [True] * (4 - plain)
+        callers = []
+        real = numerics._polar_factors
+
+        def spy(stack):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(stack)
+
+        monkeypatch.setattr(numerics, "_polar_factors", spy)
+        _round(ascents, ops)
+        assert callers == ["_round", "_evaluate"]
+
     @pytest.mark.parametrize("restarts", [1, 2, 3, 8, 32])
     def test_groups_of_one_restart_give_the_same_search(self, restarts, monkeypatch):
         capped = rejected = 0

@@ -9,6 +9,7 @@ from erasurekit import (
     joint_distribution,
     kraus_channel,
     mutual_information,
+    numerics,
     preset,
     probe_measurement,
     random_density,
@@ -241,6 +242,28 @@ class TestICEnsemble:
         rho = np.outer(v, v.conj())
         ic = ic_ensemble(rho, 1, 3)
         assert np.abs(ic.base.average - rho).max() < 1e-10
+        assert np.abs(reconstruct(ic, rho) - rho).max() < 1e-8
+
+    def test_one_decomposition_of_the_gram(self, monkeypatch):
+        # rank 2 in d = 3, so the 2 x 2 gram differs in shape from the state;
+        # psd_eigh gives both its coverage check and G^(-1/2)
+        rho = random_density(3, 16, rank=2)
+        calls = {"eigvalsh": [], "psd_eigh": []}
+        real_eigvalsh, real_psd_eigh = np.linalg.eigvalsh, numerics.psd_eigh
+
+        def eigvalsh(a, *args, **kwargs):
+            calls["eigvalsh"].append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        def psd_eigh(p):
+            calls["psd_eigh"].append(np.shape(p))
+            return real_psd_eigh(p)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(numerics, "psd_eigh", psd_eigh)
+        ic = ic_ensemble(rho, 5, 4)
+        assert (2, 2) not in calls["eigvalsh"]
+        assert calls["psd_eigh"].count((2, 2)) == 1
         assert np.abs(reconstruct(ic, rho) - rho).max() < 1e-8
 
     def test_frame_effects_are_povm_on_support(self):

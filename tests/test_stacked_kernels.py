@@ -63,8 +63,9 @@ def _ref_ic_ensemble(rho, members, seed, cutoff=numerics.RANK_CUTOFF):
         g = rng.normal(size=r) + 1j * rng.normal(size=r)
         vecs.append(g / np.linalg.norm(g))
     gram = sum(np.outer(u, u.conj()) for u in vecs)
-    gw = np.linalg.eigvalsh(numerics.hermitize(gram))
-    g_inv_half = numerics.psd_power(gram, -0.5, cutoff=cutoff * float(gw.max()))
+    gw, gv = np.linalg.eigh(numerics.hermitize(gram))
+    keep = gw > cutoff * gw.max()
+    g_inv_half = (gv[:, keep] * gw[keep] ** -0.5) @ numerics.dagger(gv[:, keep])
     effects_s = [g_inv_half @ np.outer(u, u.conj()) @ g_inv_half for u in vecs]
     frame = np.stack([e.reshape(-1) for e in effects_s], axis=1)
     duals_flat = np.linalg.solve(frame @ numerics.dagger(frame), frame)
