@@ -260,8 +260,6 @@ def cmd_optimize(args) -> int:
         tol=args.tol,
         seed=args.seed,
     )
-    if oracle is not None:
-        result = result.with_oracle(oracle)
     verdict = detect_random_unitary(
         channel, restarts=args.restarts, seed=args.seed, result=result
     )
@@ -283,6 +281,8 @@ def cmd_optimize(args) -> int:
         "result": result_to_dict(result),
         "random_unitary": verdict_to_dict(verdict),
     }
+    if oracle is not None:
+        payload["result"]["oracle_value"] = oracle
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_stable(payload))
     if args.trace_csv:

@@ -46,16 +46,20 @@ whole problems with all their restarts, or one problem with a run of its
 restarts. Restart r's first point depends only on (r, m, K, seed), so a
 group draws it once and shares it among its problems.
 
-The ascent in ``optimize_erasure`` and the polish in ``detect_random_unitary``
-walk the same accelerated loop and differ only in their stop rules. The
-do-nothing mixing W = I is always restart 0, restart 1 is the polar factor of
-a perturbed identity (for m = K that is I up to rounding, so restart 1 tracks
-restart 0), and the remaining restarts are seeded Haar isometries.
+Every ascent stops at its first accepted evaluation that gains no more than
+its tolerance, or at its budget, and ends at its best accepted point; its
+trace rows keep every accepted value. The polish in ``detect_random_unitary``
+is this ascent from one start, the search's best mixing, at tolerance 0: it
+runs while F strictly increases, for at most POLISH_ITERS evaluations.
+
+The do-nothing mixing W = I is always restart 0. Restart 1 starts about 1e-6
+off it at every m >= K, at the polar factor of (I_m + 1e-6 S) I_{m x K} with S
+fixed and antisymmetric. The remaining restarts are seeded Haar isometries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +115,6 @@ class OptimizationResult:
     trace: tuple[tuple[int, int, float], ...]
     converged: bool
     state: np.ndarray
-    oracle_value: float | None = None
-
-    def with_oracle(self, value: float) -> "OptimizationResult":
-        return replace(self, oracle_value=float(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ def _begin(problems, starts):
 
 
 def _round(ascents, shared):
-    """Make one evaluation for every ascent; returns (ascent, previous value) per accepted point.
+    """Make one evaluation per ascent; returns (ascent, old point, old value) per accepted point.
 
     An ascent whose path holds w0 -> w1 -> w2 evaluates its S3 point, unless
     alpha = -1 makes that point w2 itself; every other ascent takes its plain
@@ -220,7 +220,7 @@ def _round(ascents, shared):
         value = float(values[i])
         is_plain = i < len(plain)
         if is_plain or value > a.value:
-            accepted.append((a, a.value))
+            accepted.append((a, a.w, a.value))
             a.w, a.value, a.t, a.u = w[i], value, t[i], u[i]
             if is_plain and a.n > WARMUP:
                 a.path.append(w[i])
@@ -230,19 +230,24 @@ def _round(ascents, shared):
 
 
 def _ascend(problems, starts, budget, tol):
-    """Guarded ascent from every start on every problem in lockstep, each until
-    |dF| < tol or ``budget`` evaluations; ascents come problem by problem.
+    """Guarded ascent from every start on every problem in lockstep; ascents come
+    problem by problem.
 
-    Each ascent records one (evaluation, value) row per accepted point and
-    leaves the stack when it stops.
+    An ascent stops at its first accepted evaluation that gains no more than
+    ``tol``, or after ``budget`` evaluations. Every gain before that exceeded
+    ``tol``, so its best accepted point is its last, or the one before when the
+    last gained nothing; it ends there. It records one (evaluation, value) row
+    per accepted point and leaves the stack when it stops.
     """
     shared = problems[0] if len(problems) == 1 else None
     ascents = _begin(problems, starts)
     active = ascents if budget > 0 else []
     while active:
-        for a, previous in _round(active, shared):
+        for a, w, previous in _round(active, shared):
             a.rows.append((a.n, a.value))
-            a.converged = abs(a.value - previous) < tol
+            a.converged = not a.value - previous > tol
+            if not a.value > previous:
+                a.w, a.value = w, previous
         running = []
         for a in active:
             if a.converged or a.n >= budget:
@@ -252,16 +257,6 @@ def _ascend(problems, starts, budget, tol):
                 running.append(a)
         active = running
     return ascents
-
-
-def _polish(ops_rho, w, iters):
-    """Ascent from ``w`` while F strictly increases; returns the last increasing (w, value)."""
-    (a,) = _begin([ops_rho], [w])
-    while a.n < iters:
-        w, value = a.w, a.value
-        if _round([a], ops_rho) and not a.value > value:
-            return w, value
-    return a.w, a.value
 
 
 def _maximally_mixed(d: int) -> np.ndarray:
@@ -275,13 +270,11 @@ def _identity_start(m: int, kk: int) -> np.ndarray:
 
 
 def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
-    # a tiny fixed offset meant to move the start off W = I, which can be an
-    # unstable fixed point of the ascent map (the which-path readout). For m = K
-    # the sine grid is symmetric, so the polar factor is I again within ~1e-15
-    # and the start leaves the fixed point only through LAPACK's rounding; the
-    # offset survives, at about 6e-7, only when m > K
-    grid = np.sin(2.39996 * np.outer(np.arange(1, m + 1), np.arange(1, kk + 1)))
-    x, _, yh = np.linalg.svd(_identity_start(m, kk) + 1e-6 * grid, full_matrices=False)
+    # a fixed offset off W = I, which can be an unstable fixed point of the
+    # ascent map (the which-path readout); being antisymmetric, the polar factor
+    # keeps it to first order, where a symmetric one would vanish at m = K
+    grid = np.triu(np.sin(2.39996 * np.outer(np.arange(1, m + 1), np.arange(1, m + 1))), 1)
+    x, _, yh = np.linalg.svd((np.eye(m) + 1e-6 * (grid - grid.T))[:, :kk], full_matrices=False)
     return (x @ yh).astype(complex)
 
 
@@ -417,11 +410,12 @@ def detect_random_unitary(
     """Decide numerically whether the channel mixes unitaries.
 
     Optimizes erasure at the maximally mixed state, then polishes the best
-    mixing with further ascent so the normalized branches N_j = E'_j / sqrt(p(j))
-    can be tested for unitarity at witness precision. ``result`` replaces the
-    search when it was optimized at the maximally mixed state with as many
-    outcomes as Kraus operators, as a default ``optimize_erasure`` run is, or,
-    at any state and outcome count, when the unitality gap refuses the channel.
+    mixing with the same ascent at tolerance 0, so the normalized branches
+    N_j = E'_j / sqrt(p(j)) can be tested for unitarity at witness precision.
+    ``result`` replaces the search when it was optimized at the maximally mixed
+    state with as many outcomes as Kraus operators, as a default
+    ``optimize_erasure`` run is, or, at any state and outcome count, when the
+    unitality gap refuses the channel.
     A true verdict needs the optimum within RANDOM_UNITARY_TOL of one, a
     residual max |N_j^dag N_j - I| below 10 sqrt(RANDOM_UNITARY_TOL), and
     near-zero mutual information across seeded random ensembles.
@@ -461,13 +455,13 @@ def detect_random_unitary(
     if refused:
         residual = _normalized_branches(ops, result.best_mixing.mixing)[2]
         return RandomUnitaryVerdict(False, None, residual)
-    w, best_value = _polish(ops @ rho, result.best_mixing.mixing, POLISH_ITERS)
-    probs, normalized, residual = _normalized_branches(ops, w)
+    (polished,) = _ascend([ops @ rho], [result.best_mixing.mixing], POLISH_ITERS, 0.0)
+    probs, normalized, residual = _normalized_branches(ops, polished.w)
 
-    if best_value < 1 - RANDOM_UNITARY_TOL or residual >= limit:
+    if polished.value < 1 - RANDOM_UNITARY_TOL or residual >= limit:
         return RandomUnitaryVerdict(False, None, residual)
 
-    meas = probe_measurement(w)
+    meas = probe_measurement(polished.w)
     for check in range(ENSEMBLE_CHECKS):
         ens = random_ensemble(rho, 4, np.random.default_rng([seed, 104729, check]))
         if mutual_information(joint_distribution(channel, ens, meas)) >= 1e-5:

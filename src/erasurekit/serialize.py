@@ -84,15 +84,12 @@ def density_from_dict(data: dict) -> np.ndarray:
 
 
 def result_to_dict(result: OptimizationResult) -> dict:
-    out = {
+    return {
         "best_mixing": encode_matrix(result.best_mixing.mixing),
         "best_value": result.best_value,
         "converged": result.converged,
         "trace": [[r, i, v] for r, i, v in result.trace],
     }
-    if result.oracle_value is not None:
-        out["oracle_value"] = result.oracle_value
-    return out
 
 
 def verdict_to_dict(verdict: RandomUnitaryVerdict) -> dict:

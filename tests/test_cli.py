@@ -377,6 +377,17 @@ class TestScenario:
             )
             assert optimized >= canonical - 1e-9
 
+    def test_default_teleport_search_never_ends_below_the_canonical_mixing(self, tmp_path):
+        # restart 0 starts at the canonical mixing W = I, and every ascent ends
+        # at its best accepted point, so no rounding at a fixed point can put
+        # the optimum below the canonical value
+        out = tmp_path / "curve.csv"
+        assert main(["scenario", "--name", "teleport", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 21
+        for lam0, canonical, optimized in rows:
+            assert float(optimized) >= float(canonical), lam0
+
     def test_tiny_grid(self, tmp_path, capsys):
         code = main(["scenario", "--name", "eraser", "--grid", "1", "--out", "x.csv"])
         assert code == 1
@@ -464,6 +475,17 @@ class TestOptimize:
         payload = json.loads(out.read_text())
         assert payload["result"]["best_value"] >= payload["result"]["oracle_value"] - 1e-3
         assert payload["random_unitary"]["is_random_unitary"] is False
+
+    def test_best_value_is_not_below_its_start(self, tmp_path):
+        # at this channel W = I is a fixed point, and the plain steps from it
+        # lower F by an ulp; the search ends at its best accepted point, the
+        # start, whose value is the first trace row
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--preset", "partial_teleportation", "--param", "0.75",
+                     "--seed", "0", "--restarts", "1", "--iters", "11", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["trace"][0][:2] == [0, 0]
+        assert result["best_value"] >= result["trace"][0][2]
 
     def test_identity_channel(self, tmp_path):
         out = tmp_path / "opt.json"

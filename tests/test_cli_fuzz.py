@@ -166,7 +166,7 @@ def optimize_requests(draw):
     argv.append(f"--restarts={draw(st.integers(1, 3))}")
     argv.append(f"--iters={draw(st.integers(11, 20))}")
     if draw(st.booleans()):
-        argv.append("--tol=0")  # no early stop: every restart spends its budget
+        argv.append("--tol=0")  # stops at the first step that gains nothing
     if draw(st.booleans()):
         argv.append(f"--oracle={draw(st.integers(1, 200))}")
     return argv + ["--out=out.json"]
@@ -187,7 +187,8 @@ def test_valid_optimize_requests_search_and_never_descend(argv, tmp_path, monkey
             assert value >= last[restart] - 1e-12, (argv, restart, evaluation)
         last[restart] = value
     # plain steps are accepted unconditionally, so at a fixed point rounding
-    # may lower F by an ulp or so: W = I's value bounds the best within 1e-12
+    # may lower a trace row by an ulp or so; but every ascent ends at its best
+    # accepted point, so W = I's value bounds the best exactly
     first = result["trace"][0]
     assert first[:2] == [0, 0]
-    assert result["best_value"] >= first[2] - 1e-12, argv
+    assert result["best_value"] >= first[2], argv

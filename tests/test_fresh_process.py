@@ -46,6 +46,16 @@ CASES = {
     "optimize-depolarizing": [
         "optimize", "--preset", "depolarizing", "--restarts", "4", "--out", "optimize.json",
     ],
+    # restart 1 finds the Hadamard mixing and the witness polish runs
+    "optimize-eraser": [
+        "optimize", "--preset", "eraser_cnot", "--restarts", "2", "--out", "optimize.json",
+    ],
+    # W = I is a fixed point whose plain steps lower F by an ulp; the search
+    # ends at its best accepted point
+    "optimize-best-point": [
+        "optimize", "--preset", "partial_teleportation", "--param", "0.75", "--seed", "0",
+        "--restarts", "1", "--iters", "11", "--out", "optimize.json",
+    ],
     "analyze-preset": [
         "analyze", "--preset", "amplitude_damping", "--param", "0.3", "--seed", "9",
         "--out", "analyze.json",

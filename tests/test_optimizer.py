@@ -31,7 +31,7 @@ from erasurekit.optimizer import (
     WARMUP,
     _ascend,
     _begin,
-    _polish,
+    _evaluate,
     _round,
     _start,
 )
@@ -61,14 +61,16 @@ def assert_below_the_certificate(ch):
 
 @pytest.fixture
 def polish_calls(monkeypatch):
-    """Records each call of the witness polish and lets it run."""
+    """Records each witness polish, the ascent ``detect_random_unitary`` runs
+    itself rather than through a search, and lets it run."""
     calls = []
 
     def spy(*args):
-        calls.append(args)
-        return _polish(*args)
+        if sys._getframe(1).f_code.co_name == "detect_random_unitary":
+            calls.append(args)
+        return _ascend(*args)
 
-    monkeypatch.setattr(optimizer, "_polish", spy)
+    monkeypatch.setattr(optimizer, "_ascend", spy)
     return calls
 
 
@@ -431,8 +433,8 @@ class TestUnitalityCertificate:
         # the polish would not have changed the verdict: at the polished mixing
         # the residual still fails the test a true verdict needs
         rho = np.eye(ch.dim, dtype=complex) / ch.dim
-        w, _ = _polish(np.stack(ch.operators) @ rho, w, POLISH_ITERS)
-        assert branch_residual(ch, w) >= 10 * np.sqrt(RANDOM_UNITARY_TOL)
+        (polished,) = _ascend([ch.stack @ rho], [w], POLISH_ITERS, 0.0)
+        assert branch_residual(ch, polished.w) >= 10 * np.sqrt(RANDOM_UNITARY_TOL)
 
     def test_channel_within_twice_the_bound_takes_the_polish(self, polish_calls):
         # a gap of 0.03 is above the bound (0.02 at d = 2), but within the
@@ -466,31 +468,40 @@ def _reference_objective(ops, rho, w):
     return float((numerics._trace_norms(branches_rho) ** 2).sum())
 
 
-def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
+def _reference_step(ops, rho, w):
+    # one plain MM step: the conjugated polar factor of G at w
     d = rho.shape[0]
     flat = _flat(ops, rho)
+    t, v = numerics._polar_factors((w @ flat).reshape(-1, d, d))
+    g = t[:, None] * (v.conj().reshape(len(v), -1) @ flat.T)
+    return numerics._polar_factors(g)[1].conj()
+
+
+def _reference_ascend(ops, rho, w, max_iters, tol, restart, trace):
+    # stops at the first step that gains no more than tol, and ends at the
+    # better of its last two points, the earlier one on a tie
     value = _reference_objective(ops, rho, w)
     trace.append((restart, 0, value))
     converged = False
     for it in range(1, max_iters + 1):
-        branches_rho = (w @ flat).reshape(-1, d, d)
-        t, v = numerics._polar_factors(branches_rho)
-        g = t[:, None] * (v.conj().reshape(len(v), -1) @ flat.T)
-        w = numerics._polar_factors(g)[1].conj()
-        new_value = _reference_objective(ops, rho, w)
+        new_w = _reference_step(ops, rho, w)
+        new_value = _reference_objective(ops, rho, new_w)
         trace.append((restart, it, new_value))
-        if abs(new_value - value) < tol:
-            value = new_value
-            converged = True
+        converged = not new_value - value > tol
+        if new_value > value:
+            w, value = new_w, new_value
+        if converged:
             break
-        value = new_value
     return w, value, converged
 
 
 def _reference_polish(ops, rho, w, iters):
+    # the witness polish as its own loop: plain steps while F strictly
+    # increases, ending at the last increasing point
     value = _reference_objective(ops, rho, w)
     for _ in range(iters):
-        w2, v2, _ = _reference_ascend(ops, rho, w, 1, 0.0, -1, [])
+        w2 = _reference_step(ops, rho, w)
+        v2 = _reference_objective(ops, rho, w2)
         if not v2 > value:
             break
         w, value = w2, v2
@@ -526,14 +537,14 @@ def _assert_same_rows(trace, reference):
 
 
 def _evaluations(trace, max_iters, tol):
-    # a restart that stopped on |dF| < tol made as many evaluations as its last
-    # row's index; one that did not stop ran its whole budget
+    # a restart that stopped on a gain of at most tol made as many evaluations
+    # as its last row's index; one that did not stop ran its whole budget
     rows = {}
     for restart, it, value in trace:
         rows.setdefault(restart, []).append((it, value))
     total = 0
     for seq in rows.values():
-        stopped = len(seq) > 1 and abs(seq[-1][1] - seq[-2][1]) < tol
+        stopped = len(seq) > 1 and not seq[-1][1] - seq[-2][1] > tol
         total += seq[-1][0] if stopped else max_iters
     return total
 
@@ -608,16 +619,17 @@ class TestFusedKernel:
             ops = np.stack(ch.operators)
             rho = np.eye(ch.dim, dtype=complex) / ch.dim
             start = optimize_erasure(ch, restarts=2, max_iters=5, seed=trial).best_mixing.mixing
-            w, value = _polish(ops @ rho, start, WARMUP)
+            (polished,) = _ascend([ops @ rho], [start], WARMUP, 0.0)
             w_ref, value_ref = _reference_polish(ops, rho, start, WARMUP)
-            assert abs(value - value_ref) <= 1e-14
-            assert np.array_equal(w, w_ref)
+            assert abs(polished.value - value_ref) <= 1e-14
+            assert np.array_equal(polished.w, w_ref)
 
     def test_two_svds_per_evaluation(self, svd_calls):
         ch = preset("random", dim=3, kraus=5, seed=32)
         ops = np.stack(ch.operators)
         rho = np.eye(3, dtype=complex) / 3
-        # tol = 0 never stops, so the ascent spends its whole budget
+        # this ascent gains on each of its 40 evaluations, so at tol = 0 it
+        # spends its whole budget
         (ascent,) = _ascend([ops @ rho], [np.eye(5, dtype=complex)], 40, 0.0)
         assert ascent.rows[-1][0] <= 40
         assert len(svd_calls) == 1 + 2 * 40
@@ -691,9 +703,9 @@ class TestFusedKernel:
 def _lockstep_cases():
     # (channel, max_iters, tol): seeded random channels on a short budget, so
     # that restarts end on the cap, and the qubit presets the scenarios search,
-    # which converge. At tol = 0 every restart runs its whole budget, and
-    # restarts that meet alpha = -1 take plain steps in rounds where others
-    # take S3 trials.
+    # which converge. At tol = 0 a restart runs until a step gains nothing or
+    # its budget ends, and restarts that meet alpha = -1 take plain steps in
+    # rounds where others take S3 trials.
     qubits = [preset("depolarizing", p=0.5), preset("partial_teleportation", lam0=0.3)]
     cases = [(ch, 40, DEFAULT_TOL) for ch in _seeded_channels(6, 30)]
     cases += [(ch, DEFAULT_MAX_ITERS, DEFAULT_TOL) for ch in qubits]
@@ -712,6 +724,60 @@ def _takes_s3(a):
     w0, w1, w2 = a.path
     r = w1 - w0
     return np.linalg.norm(r) > np.linalg.norm(w2 - w1 - r) > 0
+
+
+def _loop_polish(ops_rho, w, iters):
+    # the witness polish as a loop with its own stop rule: rounds while F
+    # strictly increases, ending at the last increasing point
+    (a,) = _begin([ops_rho], [w])
+    while a.n < iters:
+        w, value = a.w, a.value
+        if _round([a], ops_rho) and not a.value > value:
+            return w, value
+    return a.w, a.value
+
+
+class TestStopRule:
+    def test_every_ascent_stops_on_its_first_small_gain_at_its_best_point(self):
+        stopped = capped = reverted = 0
+        for seed, (ch, max_iters, tol) in enumerate(_lockstep_cases()):
+            ops = ch.stack @ (np.eye(ch.dim, dtype=complex) / ch.dim)
+            kk = ch.kraus_count
+            starts = [_start(r, kk, kk, seed) for r in range(4)]
+            for a in _ascend([ops], starts, max_iters, tol):
+                values = [value for _, value in a.rows]
+                gains = [b - v for v, b in zip(values, values[1:])]
+                assert all(gain > tol for gain in gains[:-1])
+                assert a.converged == (not gains[-1] > tol)
+                assert a.converged or a.n == max_iters
+                # the largest value, at one of the last two points, and F there
+                assert a.value == max(values)
+                assert values.index(a.value) >= len(values) - 2
+                assert a.value == _evaluate(ops, a.w[None])[0][0]
+                stopped += a.converged
+                capped += not a.converged
+                reverted += a.value != values[-1]
+        assert stopped and capped and reverted
+
+    def test_the_polish_returns_what_its_own_loop_returned(self):
+        channels = [*_seeded_channels(6, 31), werner_holevo_channel(), preset("dephasing", p=0.3)]
+        past_warmup = 0
+        for trial, ch in enumerate(channels):
+            ops = ch.stack @ (np.eye(ch.dim, dtype=complex) / ch.dim)
+            start = optimize_erasure(ch, restarts=2, max_iters=5, seed=trial).best_mixing.mixing
+            (polished,) = _ascend([ops], [start], POLISH_ITERS, 0.0)
+            w, value = _loop_polish(ops, start, POLISH_ITERS)
+            assert polished.value == value
+            assert np.array_equal(polished.w, w)
+            past_warmup += polished.n > WARMUP + 2
+        assert past_warmup
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["m=K", "m=K+1"])
+    def test_restart_one_starts_off_the_identity(self, extra):
+        for kk in range(2, 17):
+            w = _start(1, kk + extra, kk, 0)
+            assert np.abs(w - _start(0, kk + extra, kk, 0)).max() >= 1e-7
+            assert np.abs(w.conj().T @ w - np.eye(kk)).max() <= 1e-14
 
 
 class TestLockstep:
