@@ -61,6 +61,8 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8
     all grid points run as one lockstep search. Raises ParamOutOfRange when
     ``restarts < 1``.
     """
+    # every grid point holds its channel's 4 x 2 x 2 Kraus stack before the search
+    _check_entries(points * 16, f"a {points}-point teleport grid")
     grid = _grid(0.0, 1.0, points)
     if restarts < 1:
         raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from erasurekit import numerics
 from erasurekit.channels import COMPLETENESS_ATOL, KrausChannel, _check_state, validate
-from erasurekit.optimizer import RANDOM_UNITARY_TOL
+from erasurekit.optimizer import ERASURE_INFO_TOL
 from erasurekit.probes import OUTCOME_FLOOR, ICEnsemble, ProbeMeasurement
 from erasurekit.serialize import encode_matrix
 
@@ -129,13 +129,9 @@ def unitality_gap(channel: KrausChannel) -> float:
 
 def certificate_bound(dim: int, outcomes: int) -> float:
     """The largest unitality gap a true random-unitary verdict allows (see
-    ``detect_random_unitary``): d 10 sqrt(RANDOM_UNITARY_TOL) + (d + 1) m
-    OUTCOME_FLOOR + COMPLETENESS_ATOL."""
-    return (
-        dim * 10 * np.sqrt(RANDOM_UNITARY_TOL)
-        + (dim + 1) * outcomes * OUTCOME_FLOOR
-        + COMPLETENESS_ATOL
-    )
+    ``detect_random_unitary``): d times the residual limit sqrt(ERASURE_INFO_TOL) / d,
+    plus (d + 1) m OUTCOME_FLOOR + COMPLETENESS_ATOL."""
+    return np.sqrt(ERASURE_INFO_TOL) + (dim + 1) * outcomes * OUTCOME_FLOOR + COMPLETENESS_ATOL
 
 
 def branch_residual(channel: KrausChannel, mixing) -> float:

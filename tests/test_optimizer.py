@@ -437,9 +437,9 @@ class TestUnitalityCertificate:
         assert branch_residual(ch, polished.w) >= 10 * np.sqrt(RANDOM_UNITARY_TOL)
 
     def test_channel_within_twice_the_bound_takes_the_polish(self, polish_calls):
-        # a gap of 0.03 is above the bound (0.02 at d = 2), but within the
-        # factor 2 left for rounding, so the polish decides
-        ch = preset("amplitude_damping", gamma=0.03)
+        # a gap of 0.005 is above the bound (3.2e-3), but within the factor 2
+        # left for rounding, so the polish decides
+        ch = preset("amplitude_damping", gamma=0.005)
         assert certificate_bound(2, 2) < unitality_gap(ch) < 2 * certificate_bound(2, 2)
         assert not detect_random_unitary(ch, restarts=4, seed=1).is_random_unitary
         assert len(polish_calls) == 1

@@ -10,10 +10,14 @@ from erasurekit import (
     choi_distance,
     detect_random_unitary,
     haar_isometry,
+    joint_distribution,
     kraus_channel,
+    mutual_information,
     optimize_erasure,
     preset,
+    probe_measurement,
     random_density,
+    random_ensemble,
     witness_channel,
 )
 from erasurekit.channels import COMPLETENESS_ATOL, PAULIS
@@ -94,3 +98,35 @@ def test_branch_residual_bounds_the_unitality_gap(d, kk, extra_outcomes, seed):
         + COMPLETENESS_ATOL
     )
     assert unitality_gap(ch) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    kk=st.integers(1, 5),
+    extra_outcomes=st.integers(0, 2),
+    log_eps=st.floats(np.log(1e-7), np.log(0.3)),
+    members=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_branch_residual_bounds_the_information_of_every_ensemble(
+    d, kk, extra_outcomes, log_eps, members, seed
+):
+    # the inequality behind the erasure certificate: for every ensemble of I/d,
+    # MI <= chi^2 <= d^2 residual^2 + (d - 1)^2 m OUTCOME_FLOOR, here at mixings
+    # a rotation exp(i eps H) away from the one that unscrambles a mixture of unitaries
+    rng = np.random.default_rng(seed)
+    unitaries = np.array([haar_isometry(d, d, rng) for _ in range(kk)])
+    scramble = haar_isometry(kk, kk, rng)
+    weights = np.sqrt(rng.dirichlet(np.ones(kk)))
+    ch = kraus_channel(np.einsum("jk,k,kab->jab", scramble, weights, unitaries))
+    m = kk + extra_outcomes
+    h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2)
+    rotation = vectors @ np.diag(np.exp(1j * np.exp(log_eps) * values)) @ vectors.conj().T
+    w = rotation @ np.vstack([scramble.conj().T, np.zeros((extra_outcomes, kk))])
+    bound = d**2 * branch_residual(ch, w) ** 2 + (d - 1) ** 2 * m * OUTCOME_FLOOR + 1e-12
+    meas = probe_measurement(w)
+    for check in range(3):
+        ens = random_ensemble(np.eye(d) / d, members, [seed, check])
+        assert mutual_information(joint_distribution(ch, ens, meas)) <= bound

@@ -7,6 +7,7 @@ from erasurekit import (
     optimizer,
     preset,
     scenario_curve,
+    scenarios,
     teleport_curve,
 )
 from erasurekit.errors import ParamOutOfRange, UnknownScenario
@@ -117,6 +118,16 @@ class TestDispatch:
     def test_unknown(self):
         with pytest.raises(UnknownScenario):
             scenario_curve("interference", 5, 0)
+
+    def test_teleport_grid_is_capped_by_what_the_sweep_holds(self, monkeypatch):
+        # every grid point holds a 4 x 2 x 2 Kraus stack before the search, so
+        # 2^20 + 1 points exceed the 2^24-entry cap though the grid alone does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a grid point's channel before the size check")
+
+        monkeypatch.setattr(scenarios, "preset", refuse)
+        with pytest.raises(ParamOutOfRange, match="16777232 complex entries"):
+            teleport_curve(2**20 + 1)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ParamOutOfRange):
