@@ -191,14 +191,7 @@ def _verify_trial(master_seed: int, trial: int, dims: list[int]) -> dict:
         "mutual_info": direct.mutual_info,
         "beta": direct.beta,
         "gamma": converse.gamma,
-        "slack_fidelity_trace": min(
-            direct.slack_fidelity_trace, converse.slack_fidelity_trace
-        ),
-        "slack_measurement_l1": min(
-            direct.slack_measurement_l1, converse.slack_measurement_l1
-        ),
-        "slack_pinsker": min(direct.slack_pinsker, converse.slack_pinsker),
-        "slack_total": min(direct.slack_total, converse.slack_total),
+        **{k: min(v, getattr(converse, k)) for k, v in direct.slacks().items()},
         "slack_converse": converse.slack_converse,
         "entropy_lower_slack": bounds.lower_slack,
         "entropy_upper_slack": bounds.upper_slack,

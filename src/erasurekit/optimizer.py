@@ -33,16 +33,17 @@ skips a number where an extrapolation was rejected.
 
 All restarts of a search advance in lockstep, in rounds, and so do the
 searches of several problems of one shape (the teleport sweep's grid
-points): each ascent carries its own operators E_k rho. In each round every
-running ascent makes one evaluation: its plain MM step or its S3 trial. All
-new points come from one stacked polar factor, a plain step's point
-conj(polar(G)) being polar(conj(G)), and one stacked branch evaluation; then
-each ascent applies its own guard, path, budget and stop rule, and leaves the
-stack when it stops. Stacked kernels return the same bits as per-matrix
-calls, so every ascent follows the trajectory it would follow alone, and a
-search of one problem stacks its operators once, not per round. Ascents run
-in groups whose stacked arrays stay within GROUP_ENTRIES complex entries:
-whole problems with all their restarts, or one problem with a run of its
+points). A group's problems are one (P, K, d, d) array of operators E_k rho,
+and each ascent holds the index of its problem; a round gathers its ascents'
+operators from that array. In each round every running ascent makes one
+evaluation: its plain MM step or its S3 trial. All new points come from one
+stacked polar factor, a plain step's point conj(polar(G)) being
+polar(conj(G)), and one stacked branch evaluation; then each ascent applies
+its own guard, path, budget and stop rule, and leaves the stack when it
+stops. Stacked kernels return the same bits as per-matrix calls, so every
+ascent follows the trajectory it would follow alone. Ascents run in groups
+whose stacked arrays stay within GROUP_ENTRIES complex entries: whole
+problems with all their restarts, or one problem with a run of its
 restarts. Restart r's first point depends only on (r, m, K, seed), so a
 group draws it once and shares it among its problems.
 
@@ -127,14 +128,14 @@ class RandomUnitaryVerdict:
 
 
 class _Ascent:
-    """One restart's guarded ascent on one problem: the operators E_k rho it searches,
+    """One restart's guarded ascent on one problem: the index of the problem it searches,
     its accepted point and value, the branch data its next plain step needs, its S3
     path, evaluations made, and trace rows."""
 
-    __slots__ = ("ops", "w", "value", "t", "u", "path", "n", "rows", "converged")
+    __slots__ = ("problem", "w", "value", "t", "u", "path", "n", "rows", "converged")
 
-    def __init__(self, ops, w, value, t, u):
-        self.ops, self.w, self.value, self.t, self.u = ops, w, value, t, u
+    def __init__(self, problem, w, value, t, u):
+        self.problem, self.w, self.value, self.t, self.u = problem, w, value, t, u
         self.path = [w]  # plain points since the last extrapolation base, base first
         self.n = 0
         self.rows = [(0, value)]
@@ -146,18 +147,12 @@ def _flat(ops):
     return ops.reshape(*ops.shape[:-2], -1)
 
 
-def _operators(ascents, shared):
-    """The operators of ``ascents``: ``shared`` when one problem is searched, else one per ascent."""
-    return shared if shared is not None else np.stack([a.ops for a in ascents])
-
-
 def _evaluate(ops, w):
     """One stacked branch evaluation at the mixings ``w`` of shape (n, m, K).
 
-    ``ops`` holds the operators E_k rho, shared (K, d, d) or one per mixing
-    (n, K, d, d). Returns F at each mixing, the branch trace norms t (n, m) and
-    the conjugated branch polar factors u (n, m, d*d), from which the next MM
-    step builds G.
+    ``ops`` holds the operators E_k rho of each mixing, (n, K, d, d). Returns F
+    at each mixing, the branch trace norms t (n, m) and the conjugated branch
+    polar factors u (n, m, d*d), from which the next MM step builds G.
     """
     d = ops.shape[-1]
     t, v = numerics._polar_factors((w @ _flat(ops)).reshape(-1, d, d))
@@ -165,24 +160,24 @@ def _evaluate(ops, w):
     return (t**2).sum(axis=1), t, v.conj().reshape(len(w), -1, d * d)
 
 
-def _begin(problems, starts):
-    """Ascents from every start on every problem, problem by problem, in one stacked evaluation."""
-    w = np.stack(starts * len(problems))
-    ops = problems[0] if len(problems) == 1 else np.repeat(np.stack(problems), len(starts), axis=0)
-    values, t, u = _evaluate(ops, w)
-    ascent_ops = [p for p in problems for _ in starts]
-    return [_Ascent(ascent_ops[i], w[i], float(values[i]), t[i], u[i]) for i in range(len(w))]
+def _begin(ops, starts):
+    """Ascents from every start on every problem of ``ops`` (P, K, d, d), problem by
+    problem, in one stacked evaluation."""
+    w = np.stack(starts * len(ops))
+    problems = np.repeat(np.arange(len(ops)), len(starts))
+    values, t, u = _evaluate(ops[problems], w)
+    return [_Ascent(p, w[i], float(values[i]), t[i], u[i]) for i, p in enumerate(problems)]
 
 
-def _round(ascents, shared):
+def _round(ascents, ops):
     """Make one evaluation per ascent; returns (ascent, old point, old value) per accepted point.
 
     An ascent whose path holds w0 -> w1 -> w2 evaluates its S3 point, unless
     alpha = -1 makes that point w2 itself; every other ascent takes its plain
     MM step. All new points come from one stacked polar factor, of conj(G)
     for the plain steps and of the S3 points for the trials, and are
-    evaluated in one stacked branch evaluation. ``shared`` holds the
-    operators when every ascent searches the same problem.
+    evaluated in one stacked branch evaluation. The ascents' operators are
+    gathered once from ``ops`` (P, K, d, d), at their problems' indices.
     """
     plain, trials, points = [], [], []
     for a in ascents:
@@ -198,16 +193,17 @@ def _round(ascents, shared):
                 points.append(w0 - 2 * alpha * r + alpha**2 * v)
                 continue
         plain.append(a)
+    stepped = plain + trials
+    gathered = ops.take([a.problem for a in stepped], axis=0)
     stacks = []
     if plain:
-        flat_t = _flat(_operators(plain, shared)).swapaxes(-1, -2)
+        flat_t = _flat(gathered[: len(plain)]).swapaxes(-1, -2)
         g = np.stack([a.t for a in plain])[:, :, None] * (np.stack([a.u for a in plain]) @ flat_t)
         stacks.append(g.conj())
     if trials:
         stacks.append(np.stack(points))
     w = numerics._polar_factors(np.concatenate(stacks))[1]
-    stepped = plain + trials
-    values, t, u = _evaluate(_operators(stepped, shared), w)
+    values, t, u = _evaluate(gathered, w)
     accepted = []
     for i, a in enumerate(stepped):
         a.n += 1
@@ -223,21 +219,22 @@ def _round(ascents, shared):
     return accepted
 
 
-def _ascend(problems, starts, budget, tol):
-    """Guarded ascent from every start on every problem in lockstep; ascents come
-    problem by problem.
+def _ascend(ops, starts, budget, tol):
+    """Guarded ascent from every start on every problem of ``ops`` in lockstep;
+    ascents come problem by problem.
 
-    An ascent stops at its first accepted evaluation that gains no more than
+    ``ops`` holds one problem's operators E_k rho per row, (P, K, d, d). An
+    ascent stops at its first accepted evaluation that gains no more than
     ``tol``, or after ``budget`` evaluations. Every gain before that exceeded
     ``tol``, so its best accepted point is its last, or the one before when the
     last gained nothing; it ends there. It records one (evaluation, value) row
     per accepted point and leaves the stack when it stops.
     """
-    shared = problems[0] if len(problems) == 1 else None
-    ascents = _begin(problems, starts)
+    ops = np.asarray(ops)
+    ascents = _begin(ops, starts)
     active = ascents if budget > 0 else []
     while active:
-        for a, w, previous in _round(active, shared):
+        for a, w, previous in _round(active, ops):
             a.rows.append((a.n, a.value))
             a.converged = not a.value - previous > tol
             if not a.value > previous:
@@ -312,7 +309,7 @@ def optimize_erasure(
         raise BadOutcomeCount(f"need at least {kk} outcomes, got {m}")
     _check_entries(m * max(kk, channel.dim**2), f"{m} outcomes")
     ((best_w, best_value, converged, trace),) = _search(
-        [channel.stack @ rho], m, restarts, max_iters, tol, seed
+        (channel.stack @ rho)[None], m, restarts, max_iters, tol, seed
     )
     return OptimizationResult(
         best_mixing=probe_measurement(best_w),
@@ -323,10 +320,10 @@ def optimize_erasure(
     )
 
 
-def _search(problems, m, restarts, max_iters, tol, seed):
+def _search(ops, m, restarts, max_iters, tol, seed):
     """The erasure search of ``optimize_erasure`` on each of several problems of one shape.
 
-    Each problem is the stack of operators E_k rho, all of one shape (K, d, d),
+    Row p of ``ops`` (P, K, d, d) is problem p's stack of operators E_k rho,
     searched over m-outcome mixings. Yields, problem by problem, the best
     mixing, its value, whether it converged, and the trace rows, each as soon
     as its group is done, so a caller that keeps only values holds no trace
@@ -335,12 +332,12 @@ def _search(problems, m, restarts, max_iters, tol, seed):
     GROUP_ENTRIES; restart r's first point depends only on (r, m, K, seed), so
     it is drawn once per group and shared by the group's problems.
     """
-    kk, d, _ = problems[0].shape
+    _, kk, d, _ = ops.shape
     group = max(1, GROUP_ENTRIES // (m * max(kk, d * d)))
     chunk = min(restarts, group)  # restarts per group
     span = max(1, group // restarts)  # problems per group
-    for first_problem in range(0, len(problems), span):
-        batch = problems[first_problem : first_problem + span]
+    for first_problem in range(0, len(ops), span):
+        batch = ops[first_problem : first_problem + span]
         best = [[None, -np.inf, False, []] for _ in batch]
         for first in range(0, restarts, chunk):
             indices = range(first, min(first + chunk, restarts))

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numerics
 from .channels import _check_entries, preset
-from .erasure import assisted_fidelity
 from .errors import ParamOutOfRange, UnknownScenario
 from .optimizer import DEFAULT_MAX_ITERS, DEFAULT_TOL, _search
-from .probes import joint_distribution, mutual_information, random_ensemble, rotation_measurement
+from .probes import _joint, mutual_information, random_ensemble
 
 ERASER_GRID = 33
 TELEPORT_GRID = 21
@@ -30,27 +30,31 @@ ERASER_COLUMNS = ("theta", "f_ea", "mutual_info")
 TELEPORT_COLUMNS = ("lambda0", "f_ea_canonical", "f_ea_optimized")
 
 
-def _grid(start: float, stop: float, points: int) -> np.ndarray:
-    """``points`` evenly spaced values, refused before allocation when too few or too many."""
+def _grid(start: float, stop: float, points: int, entries: int) -> np.ndarray:
+    """``points`` evenly spaced values, refused before allocation when too few, or when
+    the sweep's ``entries`` complex entries per point exceed the cap."""
     if points < 2:
         raise ParamOutOfRange(f"grid must have at least 2 points, got {points}")
-    _check_entries(points, f"a {points}-point grid")
+    _check_entries(points * entries, f"a {points}-point grid")
     return np.linspace(start, stop, points)
 
 
 def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
-    """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble."""
-    grid = _grid(0.0, np.pi / 2, points)
+    """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble;
+    the readouts of all grid points are one stack, whose f_ea comes from one kernel call."""
+    # every grid point holds its 2 x 2 mixing, its two 2 x 2 branches, and those times rho
+    grid = _grid(0.0, np.pi / 2, points, 4 + 8 + 8)
     channel = preset("eraser_cnot")
     rho = np.eye(2, dtype=complex) / 2
     ens = random_ensemble(rho, ERASER_MEMBERS, np.random.default_rng([seed, 0]))
-    rows = []
-    for theta in grid:
-        meas = rotation_measurement(theta)
-        f_ea = assisted_fidelity(channel, rho, meas)
-        info = mutual_information(joint_distribution(channel, ens, meas))
-        rows.append((float(theta), f_ea, info))
-    return rows
+    c, s = np.cos(grid), np.sin(grid)
+    mixings = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    refined = np.einsum("pjk,kab->pjab", mixings, channel.stack)
+    f_ea = (numerics._trace_norms(refined @ rho) ** 2).sum(axis=1)
+    return [
+        (float(theta), float(f), mutual_information(_joint(ens.stack, branches)))
+        for theta, f, branches in zip(grid, f_ea, refined)
+    ]
 
 
 def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8):
@@ -58,22 +62,18 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8
 
     f_ea_optimized is ``optimize_erasure(channel, rho, restarts=restarts,
     seed=seed).best_value`` at each grid point, bit for bit; the searches of
-    all grid points run as one lockstep search. Raises ParamOutOfRange when
-    ``restarts < 1``.
+    all grid points run as one lockstep search. f_ea_canonical is the value at
+    the canonical mixing W = I, where each search's restart 0 starts: its
+    first trace row. Raises ParamOutOfRange when ``restarts < 1``.
     """
     # every grid point holds its channel's 4 x 2 x 2 Kraus stack before the search
-    _check_entries(points * 16, f"a {points}-point teleport grid")
-    grid = _grid(0.0, 1.0, points)
+    grid = _grid(0.0, 1.0, points, 16)
     if restarts < 1:
         raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")
     rho = np.eye(2, dtype=complex) / 2
-    canonical, problems = [], []
-    for lam0 in grid:
-        channel = preset("partial_teleportation", lam0=float(lam0))
-        canonical.append((float(lam0), assisted_fidelity(channel, rho)))
-        problems.append(channel.stack @ rho)
-    searches = _search(problems, len(problems[0]), restarts, DEFAULT_MAX_ITERS, DEFAULT_TOL, seed)
-    return [(*row, best_value) for row, (_, best_value, _, _) in zip(canonical, searches)]
+    ops = np.stack([preset("partial_teleportation", lam0=float(x)).stack for x in grid]) @ rho
+    searches = _search(ops, 4, restarts, DEFAULT_MAX_ITERS, DEFAULT_TOL, seed)
+    return [(float(x), trace[0][2], best) for x, (_, best, _, trace) in zip(grid, searches)]
 
 
 def scenario_curve(name: str, points: int | None = None, seed: int = 0, restarts: int = 8):

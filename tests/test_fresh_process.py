@@ -43,6 +43,15 @@ CASES = {
         "scenario", "--name", "teleport", "--grid", "3", "--restarts", "2",
         "--out", "teleport.csv",
     ],
+    # the stacked eraser sweep over many points, and the teleport sweep's
+    # canonical column, read from each search's first trace row
+    "scenario-eraser-stacked": [
+        "scenario", "--name", "eraser", "--grid", "1001", "--seed", "2", "--out", "eraser.csv",
+    ],
+    "scenario-teleport-canonical": [
+        "scenario", "--name", "teleport", "--grid", "7", "--restarts", "3", "--seed", "2",
+        "--out", "teleport.csv",
+    ],
     "optimize-depolarizing": [
         "optimize", "--preset", "depolarizing", "--restarts", "4", "--out", "optimize.json",
     ],

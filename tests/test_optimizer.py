@@ -729,10 +729,10 @@ def _takes_s3(a):
 def _loop_polish(ops_rho, w, iters):
     # the witness polish as a loop with its own stop rule: rounds while F
     # strictly increases, ending at the last increasing point
-    (a,) = _begin([ops_rho], [w])
+    (a,) = _begin(ops_rho[None], [w])
     while a.n < iters:
         w, value = a.w, a.value
-        if _round([a], ops_rho) and not a.value > value:
+        if _round([a], ops_rho[None]) and not a.value > value:
             return w, value
     return a.w, a.value
 
@@ -780,19 +780,40 @@ class TestStopRule:
             assert np.abs(w.conj().T @ w - np.eye(kk)).max() <= 1e-14
 
 
+def _ascent_bits(a):
+    return a.w.tobytes(), a.value.hex(), a.n, a.rows, [w.tobytes() for w in a.path]
+
+
 class TestLockstep:
-    @pytest.mark.parametrize("plain", [4, 0, 2], ids=["plain", "s3", "mixed"])
-    def test_one_polar_factor_per_round(self, plain, monkeypatch):
+    @pytest.mark.parametrize(
+        "plain, problems",
+        [(4, 1), (0, 1), (2, 1), (4, 2), (0, 2), (2, 2)],
+        ids=["plain", "s3", "mixed", "plain-two-problems", "s3-two-problems", "mixed-two-problems"],
+    )
+    def test_one_polar_factor_per_round(self, plain, problems, monkeypatch):
         # the plain steps' conj(G) and the S3 points share one stacked polar
-        # factor; the other call is the branch evaluation's
-        ch = preset("random", dim=3, kraus=4, seed=5)
-        ops = ch.stack @ (np.eye(3, dtype=complex) / 3)
-        ascents = _begin([ops], [_start(r, 4, 4, 0) for r in range(4)])
-        while len(ascents[0].path) < 3:
+        # factor; the other call is the branch evaluation's. Every ascent of
+        # the group, whichever channel it searches, follows the trajectory of
+        # its start searched alone on its channel, bit for bit
+        channels = [preset("random", dim=3, kraus=4, seed=seed) for seed in (5, 9)[:problems]]
+        ops = np.stack([ch.stack @ (np.eye(3, dtype=complex) / 3) for ch in channels])
+        starts = [_start(r, 4, 4, 0) for r in range(4)]
+        ascents = _begin(ops, starts)
+        alone = [(_begin(own, [w])[0], own) for own in ops[:, None] for w in starts]
+
+        def advance():
             _round(ascents, ops)
-        for a in ascents[:plain]:
-            a.path = [a.w]
-        assert [_takes_s3(a) for a in ascents] == [False] * plain + [True] * (4 - plain)
+            for a, own in alone:
+                _round([a], own)
+            assert [_ascent_bits(a) for a in ascents] == [_ascent_bits(a) for a, _ in alone]
+
+        while len(ascents[0].path) < 3:
+            advance()
+        for i, a in enumerate(ascents):
+            if i % 4 < plain:
+                a.path, alone[i][0].path = [a.w], [a.w]
+        pattern = [False] * plain + [True] * (4 - plain)
+        assert [_takes_s3(a) for a in ascents] == pattern * problems
         callers = []
         real = numerics._polar_factors
 
@@ -800,9 +821,15 @@ class TestLockstep:
             callers.append(sys._getframe(1).f_code.co_name)
             return real(stack)
 
-        monkeypatch.setattr(numerics, "_polar_factors", spy)
-        _round(ascents, ops)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_polar_factors", spy)
+            _round(ascents, ops)
         assert callers == ["_round", "_evaluate"]
+        for a, own in alone:
+            _round([a], own)
+        assert [_ascent_bits(a) for a in ascents] == [_ascent_bits(a) for a, _ in alone]
+        for _ in range(20):
+            advance()
 
     @pytest.mark.parametrize("restarts", [1, 2, 3, 8, 32])
     def test_groups_of_one_restart_give_the_same_search(self, restarts, monkeypatch):

@@ -2,15 +2,41 @@ import numpy as np
 import pytest
 
 from erasurekit import (
+    assisted_fidelity,
     eraser_curve,
+    joint_distribution,
+    mutual_information,
     optimize_erasure,
     optimizer,
     preset,
+    random_ensemble,
+    rotation_measurement,
     scenario_curve,
     scenarios,
     teleport_curve,
 )
 from erasurekit.errors import ParamOutOfRange, UnknownScenario
+from erasurekit.scenarios import ERASER_MEMBERS
+
+MIXED = np.eye(2, dtype=complex) / 2
+
+
+def _hex_rows(rows):
+    return [tuple(value.hex() for value in row) for row in rows]
+
+
+def _eraser_point_by_point(points, seed):
+    # the sweep as one measurement, one assisted fidelity and one joint
+    # distribution per grid point
+    channel = preset("eraser_cnot")
+    ens = random_ensemble(MIXED, ERASER_MEMBERS, np.random.default_rng([seed, 0]))
+    rows = []
+    for theta in np.linspace(0.0, np.pi / 2, points):
+        meas = rotation_measurement(theta)
+        f_ea = assisted_fidelity(channel, MIXED, meas)
+        info = mutual_information(joint_distribution(channel, ens, meas))
+        rows.append((float(theta), f_ea, info))
+    return rows
 
 
 class TestEraserCurve:
@@ -33,6 +59,13 @@ class TestEraserCurve:
         rows = eraser_curve(points=5, seed=3)
         assert rows[0][2] > 1e-3  # theta = 0 reads out the path
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("points", [2, 33, 1001])
+    def test_stacked_sweep_is_the_point_by_point_sweep_bit_for_bit(self, points, seed):
+        rows = eraser_curve(points, seed)
+        assert all(type(value) is float for row in rows for value in row)
+        assert _hex_rows(rows) == _hex_rows(_eraser_point_by_point(points, seed))
+
 
 class TestTeleportCurve:
     def test_matches_closed_form(self):
@@ -47,6 +80,23 @@ class TestTeleportCurve:
         rows = teleport_curve(points=3, seed=0, restarts=2)
         assert rows[1][0] == pytest.approx(0.5)
         assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points, restarts, group", [(21, 8, None), (101, 2, None), (21, 3, 2 * 16)]
+    )
+    def test_canonical_column_is_the_assisted_fidelity_at_the_identity(
+        self, points, restarts, group, monkeypatch
+    ):
+        # the column is read from restart 0's first trace row; a group of 2
+        # teleport ascents (16 entries each) splits every grid point's restarts
+        if group is not None:
+            monkeypatch.setattr(optimizer, "GROUP_ENTRIES", group)
+        rows = teleport_curve(points=points, seed=1, restarts=restarts)
+        expected = [
+            assisted_fidelity(preset("partial_teleportation", lam0=float(lam0)), MIXED)
+            for lam0 in np.linspace(0.0, 1.0, points)
+        ]
+        assert [row[1].hex() for row in rows] == [value.hex() for value in expected]
 
 
 def _one_search_per_point(points, seed, restarts):
@@ -128,6 +178,16 @@ class TestDispatch:
         monkeypatch.setattr(scenarios, "preset", refuse)
         with pytest.raises(ParamOutOfRange, match="16777232 complex entries"):
             teleport_curve(2**20 + 1)
+
+    def test_eraser_grid_is_capped_by_what_the_sweep_holds(self, monkeypatch):
+        # every grid point holds a 2 x 2 mixing, two 2 x 2 branches and those
+        # branches times rho, so 2^20 + 1 points exceed the 2^24-entry cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the eraser channel before the size check")
+
+        monkeypatch.setattr(scenarios, "preset", refuse)
+        with pytest.raises(ParamOutOfRange, match="20971540 complex entries"):
+            eraser_curve(2**20 + 1)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ParamOutOfRange):
