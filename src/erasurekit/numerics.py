@@ -283,11 +283,14 @@ def _as_weights(w) -> np.ndarray:
     return w
 
 
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each vector over the last axis, unchecked, with 0 ln 0 = 0."""
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy in nats, with the 0 ln 0 = 0 convention."""
-    p = _as_weights(p)
-    pos = p[p > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(_entropy(_as_weights(p)))
 
 
 def relative_entropy(r, s) -> float:

@@ -254,12 +254,6 @@ def _maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def _identity_start(m: int, kk: int) -> np.ndarray:
-    w = np.zeros((m, kk), dtype=complex)
-    w[:kk, :kk] = np.eye(kk)
-    return w
-
-
 def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
     # a fixed offset off W = I, which can be an unstable fixed point of the
     # ascent map (the which-path readout); being antisymmetric, the polar factor
@@ -272,7 +266,7 @@ def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
 def _start(r: int, m: int, kk: int, seed: int) -> np.ndarray:
     """Restart r's first mixing: W = I, then the perturbed identity, then seeded Haar isometries."""
     if r == 0:
-        return _identity_start(m, kk)
+        return np.eye(m, kk, dtype=complex)
     if r == 1:
         return _perturbed_identity_start(m, kk)
     return numerics.haar_isometry(m, kk, np.random.default_rng([seed, r]))

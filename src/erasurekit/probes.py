@@ -212,9 +212,12 @@ def _check_members(channel: KrausChannel, ens: Ensemble) -> None:
 
 
 def _joint(members: np.ndarray, refined: np.ndarray) -> np.ndarray:
-    """``joint_distribution`` on the member stack and the refined branches, unchecked."""
+    """``joint_distribution`` on the member stack and the refined branches, unchecked.
+
+    ``refined`` may stack branch sets over leading axes; the joints stack over the same axes.
+    """
     effects = numerics.dagger(refined) @ refined
-    p = np.einsum("iab,jba->ij", members, effects).real
+    p = np.einsum("iab,...jba->...ij", members, effects).real
     if p.min(initial=0.0) < -1e-9:
         raise NotPSD(f"joint probability {p.min():.3e} is negative beyond tolerance")
     return np.clip(p, 0.0, None)
@@ -231,12 +234,17 @@ def mutual_information(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise NotNormalized(f"joint entries sum to {total:.12g}, expected 1 within 1e-09")
+    return float(_information(p))
+
+
+def _information(p: np.ndarray) -> np.ndarray:
+    """``mutual_information`` of each joint matrix over the last two axes, unchecked."""
     info = (
-        numerics.shannon_entropy(p.sum(axis=1))
-        + numerics.shannon_entropy(p.sum(axis=0))
-        - numerics.shannon_entropy(p.reshape(-1))
+        numerics._entropy(p.sum(axis=-1))
+        + numerics._entropy(p.sum(axis=-2))
+        - numerics._entropy(p.reshape(*p.shape[:-2], -1))
     )
-    return max(info, 0.0)
+    return np.maximum(info, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from . import numerics
 from .channels import _check_entries, preset
 from .errors import ParamOutOfRange, UnknownScenario
 from .optimizer import DEFAULT_MAX_ITERS, DEFAULT_TOL, _search
-from .probes import _joint, mutual_information, random_ensemble
+from .probes import _information, _joint, random_ensemble
 
 ERASER_GRID = 33
 TELEPORT_GRID = 21
@@ -41,9 +41,13 @@ def _grid(start: float, stop: float, points: int, entries: int) -> np.ndarray:
 
 def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
     """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble;
-    the readouts of all grid points are one stack, whose f_ea comes from one kernel call."""
-    # every grid point holds its 2 x 2 mixing, its two 2 x 2 branches, and those times rho
-    grid = _grid(0.0, np.pi / 2, points, 4 + 8 + 8)
+    the readouts of all grid points are one stack, whose f_ea, joint distributions and
+    mutual informations each come from one kernel call."""
+    # the sweep's arrays peak at 544 B per grid point (tracemalloc), in _joint:
+    # the mixing 64, the branches 128, their effects 128, the complex joint 128
+    # and its clipped real part 64, theta, cos, sin and f_ea 32; so a point
+    # counts 34 complex entries
+    grid = _grid(0.0, np.pi / 2, points, 34)
     channel = preset("eraser_cnot")
     rho = np.eye(2, dtype=complex) / 2
     ens = random_ensemble(rho, ERASER_MEMBERS, np.random.default_rng([seed, 0]))
@@ -51,10 +55,8 @@ def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
     mixings = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
     refined = np.einsum("pjk,kab->pjab", mixings, channel.stack)
     f_ea = (numerics._trace_norms(refined @ rho) ** 2).sum(axis=1)
-    return [
-        (float(theta), float(f), mutual_information(_joint(ens.stack, branches)))
-        for theta, f, branches in zip(grid, f_ea, refined)
-    ]
+    info = _information(_joint(ens.stack, refined))
+    return list(zip(grid.tolist(), f_ea.tolist(), info.tolist()))
 
 
 def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8):

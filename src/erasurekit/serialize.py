@@ -126,16 +126,5 @@ def fmt17(x: float) -> str:
 
 
 def csv_line(values) -> str:
-    parts = []
-    for v in values:
-        if isinstance(v, bool):
-            parts.append("true" if v else "false")
-        elif isinstance(v, (int, np.integer)):
-            parts.append(str(int(v)))
-        elif v is None:
-            parts.append("")
-        elif isinstance(v, str):
-            parts.append(v)
-        else:
-            parts.append(fmt17(v))
-    return ",".join(parts)
+    """One CSV row: ints as written, every other value through ``fmt17``."""
+    return ",".join(str(v) if isinstance(v, int) else fmt17(v) for v in values)

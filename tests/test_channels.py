@@ -288,6 +288,10 @@ class TestChannelSuite:
         assert not channels_equal(flip, kraus_channel([np.eye(2)]))
         assert choi_distance(flip, flip) < 1e-15
 
+    def test_choi_distance_needs_one_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            choi_distance(preset("identity", dim=2), preset("identity", dim=3))
+
     def test_bitflip_not_dephasing(self):
         flips = kraus_channel([np.eye(2) / np.sqrt(2), PAULI_X / np.sqrt(2)])
         assert not channels_equal(flips, preset("dephasing", p=0.5))

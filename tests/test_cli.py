@@ -77,6 +77,19 @@ class TestAnalyze:
         assert payload["config"]["seed"] == 0
         assert payload["config"]["mixing"] == "hadamard"
 
+    def test_mixing_file_reads_as_the_named_mixing(self, tmp_path):
+        mixing = tmp_path / "mixing.json"
+        mixing.write_text(json.dumps({"mixing": encode_matrix(hadamard_measurement().mixing)}))
+        reports = []
+        for name in ("hadamard", str(mixing)):
+            out = tmp_path / "report.json"
+            argv = ["analyze", "--preset", "dephasing", "--mixing", name, "--out", str(out)]
+            assert main(argv) == 0
+            payload = json.loads(out.read_text())
+            assert payload["config"]["mixing"] == name
+            reports.append((payload["direct"], payload["converse"]))
+        assert reports[0] == reports[1]
+
     def test_identity_channel(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["analyze", "--preset", "identity", "--out", str(out)])
@@ -602,7 +615,7 @@ class TestSizeCaps:
 
         monkeypatch.setattr(numerics, "ginibre", refuse)
         monkeypatch.setattr(numerics, "_haar", refuse)
-        monkeypatch.setattr("erasurekit.optimizer._identity_start", refuse)
+        monkeypatch.setattr("erasurekit.optimizer._start", refuse)
         # the one draw both random_ensemble and ic_ensemble make
         monkeypatch.setattr("erasurekit.probes._complex_normal", refuse)
 

@@ -321,6 +321,14 @@ class TestVerifyConverse:
         assert report.mutual_info <= 1e-12
         assert abs(report.slack_converse) < 1e-6
 
+    def test_default_ic_size_is_the_squared_rank_of_the_state(self):
+        # rank 2 in dimension 3: 4 members by default, not d^2 = 9
+        rho = random_density(3, 12, rank=2)
+        channel = preset("random", dim=3, kraus=2, seed=13)
+        report = verify_converse(channel, rho, seed=14)
+        assert report == verify_converse(channel, rho, members=4, seed=14)
+        assert report != verify_converse(channel, rho, members=9, seed=14)
+
     def test_amplitude_damping_example(self):
         report = verify_converse(
             preset("amplitude_damping", gamma=0.5), MIXED, members=4, seed=9

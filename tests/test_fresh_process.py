@@ -1,12 +1,14 @@
 """Reruns in fresh interpreters, and requests served one after another in
 one process, write the same bytes.
 
-Each case is one CI rerun-and-cmp step at a small size: the command runs
-twice, each time as its own ``python -m erasurekit.cli`` process with its
-own hash seed, and both runs write the same path, since the path is part of
-the recorded configuration. The same cases then run through ``cli.main`` in
-one process, between requests that fail or print help, and each must write
-what its fresh process wrote.
+``CASES`` is the one list of rerun requests, each a command line. Each
+runs twice, each time as its own ``python -m erasurekit.cli`` process with
+its own hash seed, and both runs write the same path, since the path is
+part of the recorded configuration; outputs and stdouts must match. The
+same requests then run through ``cli.main`` in one process, between
+requests that fail or print help, and each must write and print what its
+fresh process did. The installed ``erasurekit`` script is the ``cli.run``
+that ``python -m erasurekit.cli`` runs, so these runs stand for it too.
 """
 
 import itertools
@@ -22,56 +24,48 @@ import erasurekit
 from erasurekit import cli
 
 SRC = str(Path(erasurekit.__file__).resolve().parent.parent)
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 CASES = {
-    "verify": ["verify", "--trials", "6", "--seed", "1", "--out", "verify.csv"],
-    "optimize-oracle-qubit": [
-        "optimize", "--preset", "amplitude_damping", "--param", "0.5", "--oracle", "500",
-        "--restarts", "4", "--out", "optimize.json",
-    ],
-    "optimize-oracle-dim3": [
-        "optimize", "--preset", "random", "--dim", "3", "--kraus", "3", "--oracle", "500",
-        "--restarts", "4", "--out", "optimize.json",
-    ],
-    # far from unital, so the verdict takes its residual at this search's mixing
-    "optimize-outcomes-dim3": [
-        "optimize", "--preset", "random", "--dim", "3", "--kraus", "3", "--outcomes", "4",
-        "--restarts", "3", "--out", "optimize.json",
-    ],
-    "scenario-eraser": ["scenario", "--name", "eraser", "--grid", "9", "--out", "eraser.csv"],
-    "scenario-teleport": [
-        "scenario", "--name", "teleport", "--grid", "3", "--restarts", "2",
-        "--out", "teleport.csv",
-    ],
-    # the stacked eraser sweep over many points, and the teleport sweep's
-    # canonical column, read from each search's first trace row
-    "scenario-eraser-stacked": [
-        "scenario", "--name", "eraser", "--grid", "1001", "--seed", "2", "--out", "eraser.csv",
-    ],
-    "scenario-teleport-canonical": [
-        "scenario", "--name", "teleport", "--grid", "7", "--restarts", "3", "--seed", "2",
-        "--out", "teleport.csv",
-    ],
-    "optimize-depolarizing": [
-        "optimize", "--preset", "depolarizing", "--restarts", "4", "--out", "optimize.json",
-    ],
-    # restart 1 finds the Hadamard mixing and the witness polish runs
-    "optimize-eraser": [
-        "optimize", "--preset", "eraser_cnot", "--restarts", "2", "--out", "optimize.json",
-    ],
-    # W = I is a fixed point whose plain steps lower F by an ulp; the search
-    # ends at its best accepted point
-    "optimize-best-point": [
-        "optimize", "--preset", "partial_teleportation", "--param", "0.75", "--seed", "0",
-        "--restarts", "1", "--iters", "11", "--out", "optimize.json",
-    ],
-    "analyze-preset": [
-        "analyze", "--preset", "amplitude_damping", "--param", "0.3", "--seed", "9",
-        "--out", "analyze.json",
-    ],
-    "analyze-preset-file": [
-        "analyze", "--channel", "channel.json", "--seed", "3", "--out", "analyze.json",
-    ],
+    "verify": "verify --trials 20 --seed 1 --out verify.csv",
+    # analyze on a named preset, and on a preset given as channel JSON
+    "analyze-preset": "analyze --preset amplitude_damping --param 0.3 --seed 9 --out analyze.json",
+    "analyze-preset-file": "analyze --channel channel.json --seed 3 --out analyze.json",
+    # the oracle's Haar draw, on the closed-form qubit path and on the SVD path
+    "optimize-oracle-qubit": (
+        "optimize --preset amplitude_damping --param 0.5 --oracle 2000 --out optimize.json"
+    ),
+    "optimize-oracle-dim3": (
+        "optimize --preset random --dim 3 --kraus 3 --oracle 2000 --out optimize.json"
+    ),
+    # more outcomes than Kraus operators on a channel far from unital: the
+    # random-unitary verdict reads this search's mixing, with no second search
+    "optimize-outcomes-dim3": (
+        "optimize --preset random --dim 3 --kraus 3 --outcomes 4 --restarts 3 --out optimize.json"
+    ),
+    # restart 1 leaves W = I and finds the Hadamard mixing, and the polish
+    # builds the witness from it
+    "optimize-eraser": "optimize --preset eraser_cnot --out optimize.json",
+    # W = I is a fixed point whose plain steps lower F by an ulp, so the search
+    # ends at its best accepted point, the start
+    "optimize-best-point": (
+        "optimize --preset partial_teleportation --param 0.75 --seed 0 --restarts 1 --iters 11"
+        " --out optimize.json"
+    ),
+    # the eraser curve: f_ea from the closed-form 2 x 2 trace norm, the joint
+    # distributions and mutual informations from one kernel call each, over
+    # one stack of every grid point's readout
+    "scenario-eraser": "scenario --name eraser --out eraser.csv",
+    # the teleport curve, 8 restarts at each of 21 grid points in one lockstep search
+    "scenario-teleport": "scenario --name teleport --out teleport.csv",
+    "scenario-eraser-stacked": "scenario --name eraser --grid 1001 --seed 2 --out eraser.csv",
+    # 3 restarts at each of 7 grid points; the canonical column is each
+    # search's first trace row
+    "scenario-teleport-canonical": (
+        "scenario --name teleport --grid 7 --restarts 3 --seed 2 --out teleport.csv"
+    ),
+    # 32 restarts, then the random-unitary polish and its witness
+    "optimize-depolarizing": "optimize --preset depolarizing --out optimize.json",
 }
 
 
@@ -105,7 +99,7 @@ def fresh(tmp_path_factory):
         if case not in runs:
             cwd = tmp_path_factory.mktemp(case)
             _write_channel(cwd)
-            runs[case] = _run(CASES[case], cwd)
+            runs[case] = _run(CASES[case].split(), cwd)
         return runs[case]
 
     return run
@@ -114,7 +108,7 @@ def fresh(tmp_path_factory):
 @pytest.mark.parametrize("case", CASES)
 def test_rerun_in_a_fresh_process_is_byte_identical(tmp_path, case, fresh):
     _write_channel(tmp_path)
-    assert _run(CASES[case], tmp_path) == fresh(case)
+    assert _run(CASES[case].split(), tmp_path) == fresh(case)
 
 
 # requests that end before writing anything: a usage error, help, a typed error
@@ -131,10 +125,16 @@ def test_one_process_serving_many_requests_writes_fresh_process_bytes(
     monkeypatch.chdir(tmp_path)
     _write_channel(tmp_path)
     between = itertools.cycle(BETWEEN)
-    for case, argv in CASES.items():
+    for case, line in CASES.items():
+        argv = line.split()
         extra, code = next(between)
         assert cli.main(extra) == code, extra
         capsys.readouterr()
         assert cli.main(argv) == 0, case
         assert ((tmp_path / _out(argv)).read_bytes(), capsys.readouterr().out) == fresh(case), case
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_the_installed_script_runs_the_module_entry_point():
+    scripts = PYPROJECT.read_text().split("[project.scripts]\n")[1].split("\n[")[0]
+    assert 'erasurekit = "erasurekit.cli:run"' in scripts.splitlines()

@@ -339,6 +339,12 @@ class TestEntropies:
             relative_entropy([1.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("d, rank", [(0, None), (-1, None), (2, 0), (2, 3)])
+def test_random_density_refuses_a_bad_dimension_or_rank(d, rank):
+    with pytest.raises(DimensionMismatch):
+        random_density(d, 0, rank=rank)
+
+
 class TestEntropyBounds:
     def test_coincident(self):
         b = verify_entropy_bounds([0.5, 0.5], [0.5, 0.5])

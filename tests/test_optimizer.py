@@ -277,6 +277,12 @@ class TestSampleOracle:
 
 
 class TestDetectRandomUnitary:
+    def test_a_false_verdict_has_no_witness_channel(self):
+        verdict = detect_random_unitary(preset("amplitude_damping", gamma=0.5), seed=0)
+        assert not verdict.is_random_unitary and verdict.witness is None
+        with pytest.raises(ValueError, match="no witness"):
+            witness_channel(verdict)
+
     def test_projector_channel_witness(self):
         verdict = detect_random_unitary(projector_channel(), seed=0)
         assert verdict.is_random_unitary

@@ -22,6 +22,7 @@ from erasurekit.errors import (
     BetaZero,
     DimensionMismatch,
     InsufficientFrame,
+    NotDensity,
     NotIsometry,
     NotNormalized,
     ParamOutOfRange,
@@ -109,6 +110,18 @@ class TestEnsemble:
         assert np.allclose(ens.weights, [0.5, 0.5])
         assert np.abs(ens.average - np.eye(2) / 2).max() < 1e-15
         assert ens.beta == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "members, error",
+        [
+            ([], DimensionMismatch),
+            ([np.eye(2) / 2, np.eye(3) / 6], DimensionMismatch),
+            ([np.eye(2) / 2, np.eye(2) / 4], NotDensity),
+        ],
+    )
+    def test_rejects_no_members_mixed_shapes_and_traces_off_one(self, members, error):
+        with pytest.raises(error):
+            ensemble(members)
 
     def test_rejects_zero_weight(self):
         with pytest.raises(BetaZero):

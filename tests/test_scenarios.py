@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from erasurekit import (
     optimize_erasure,
     optimizer,
     preset,
+    probes,
     random_ensemble,
     rotation_measurement,
     scenario_curve,
@@ -65,6 +68,29 @@ class TestEraserCurve:
         rows = eraser_curve(points, seed)
         assert all(type(value) is float for row in rows for value in row)
         assert _hex_rows(rows) == _hex_rows(_eraser_point_by_point(points, seed))
+
+    def test_one_joint_distribution_call_for_the_whole_sweep(self, monkeypatch):
+        shapes = []
+
+        def spy(members, refined):
+            shapes.append(refined.shape)
+            return probes._joint(members, refined)
+
+        monkeypatch.setattr(scenarios, "_joint", spy)
+        assert len(eraser_curve(1001)) == 1001
+        assert shapes == [(1001, 2, 2, 2)]
+
+    def test_the_grid_cap_counts_the_arrays_the_sweep_holds(self):
+        points = 20_000
+        tracemalloc.start()
+        try:
+            eraser_curve(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 34 complex entries of 16 B per grid point, and a fixed share for the
+        # channel, the ensemble and the state
+        assert peak <= 34 * 16 * points + 2**16
 
 
 class TestTeleportCurve:
@@ -180,14 +206,16 @@ class TestDispatch:
             teleport_curve(2**20 + 1)
 
     def test_eraser_grid_is_capped_by_what_the_sweep_holds(self, monkeypatch):
-        # every grid point holds a 2 x 2 mixing, two 2 x 2 branches and those
-        # branches times rho, so 2^20 + 1 points exceed the 2^24-entry cap
+        # every grid point counts 34 complex entries, the sweep's array peak, so
+        # 493,447 points pass the 2^24-entry cap and one more point does not
         def refuse(*args, **kwargs):
-            raise AssertionError("built the eraser channel before the size check")
+            raise AssertionError("built the eraser channel after the size check")
 
         monkeypatch.setattr(scenarios, "preset", refuse)
-        with pytest.raises(ParamOutOfRange, match="20971540 complex entries"):
-            eraser_curve(2**20 + 1)
+        with pytest.raises(AssertionError, match="after the size check"):
+            eraser_curve(493_447)
+        with pytest.raises(ParamOutOfRange, match="16777232 complex entries"):
+            eraser_curve(493_448)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ParamOutOfRange):
