@@ -33,7 +33,6 @@ from .serialize import (
     dumps_compact,
     dumps_stable,
     ensemble_from_dict,
-    fmt17,
     load_json,
     measurement_from_dict,
     result_to_dict,
@@ -50,6 +49,29 @@ VERIFY_COLUMNS = (
     "slack_converse,entropy_lower_slack,entropy_upper_slack,worst_slack"
 )
 SLACK_COLUMNS = VERIFY_COLUMNS.split(",")[10:-1]  # every link; worst_slack is their minimum
+
+# flags left out of the recorded configuration, since another key records
+# their value: --preset, --param, --dim and --kraus under "channel", --members
+# under "ensemble"; --trace-csv names a side file, not part of the run
+_UNRECORDED = ("preset", "param", "dim", "kraus", "members", "trace_csv")
+
+
+def _config(args, fmt: str, **resolved) -> dict:
+    """The run's configuration: every parsed flag, each resolved value in place of its flag."""
+    flags = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    return {**flags, "format": fmt, **resolved}
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_csv(path: str, header: dict | None, columns, rows) -> None:
+    """A CSV file; ``header``, when given, is written first as a ``#`` comment line."""
+    lines = [] if header is None else ["# " + dumps_compact(header)]
+    lines += [",".join(columns), *map(csv_line, rows)]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
@@ -114,24 +136,9 @@ def cmd_analyze(args) -> int:
     converse = verify_converse(
         channel, rho, meas, members=ic_size, seed=np.random.default_rng([args.seed, 2])
     )
-    config = {
-        "command": "analyze",
-        "format": "json",
-        "channel": channel_spec,
-        "state": args.state,
-        "mixing": args.mixing,
-        "ensemble": ensemble_spec,
-        "ic_size": ic_size,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    payload = {
-        "config": config,
-        "direct": direct.to_dict(),
-        "converse": converse.to_dict(),
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_stable(payload))
+    config = _config(args, "json", channel=channel_spec, ensemble=ensemble_spec, ic_size=ic_size)
+    payload = {"config": config, "direct": direct.to_dict(), "converse": converse.to_dict()}
+    _write(args.out, dumps_stable(payload))
     worst = min(direct.worst_slack(), converse.worst_slack())
     print(f"wrote {args.out} (worst slack {worst:.3e})")
     return EXIT_OK if worst >= SLACK_FLOOR else EXIT_VERIFICATION
@@ -139,19 +146,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_scenario(args) -> int:
     columns, rows = scenario_curve(args.name, args.grid, args.seed, args.restarts)
-    config = {
-        "command": "scenario",
-        "format": "csv",
-        "name": args.name,
-        "grid": len(rows),  # one row per grid point, so this resolves the default grid
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    lines = ["# " + dumps_compact(config), ",".join(columns)]
-    lines += [csv_line(row) for row in rows]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # one row per grid point, so the row count resolves the default grid
+    _write_csv(args.out, _config(args, "csv", grid=len(rows)), columns, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -211,19 +207,9 @@ def cmd_verify(args) -> int:
         raise ParamOutOfRange(f"--dims needs integers >= 2, got {args.dims!r}")
     rows = [_verify_trial(args.seed, t, dims) for t in range(args.trials)]
 
-    config = {
-        "command": "verify",
-        "format": "csv",
-        "trials": args.trials,
-        "dims": dims,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    config = _config(args, "csv", dims=dims)
     columns = VERIFY_COLUMNS.split(",")
-    lines = ["# " + dumps_compact(config), VERIFY_COLUMNS]
-    lines += [csv_line([row[c] for c in columns]) for row in rows]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, config, columns, ([row[c] for c in columns] for row in rows))
 
     summary = {
         "config": config,
@@ -239,11 +225,11 @@ def cmd_verify(args) -> int:
 def cmd_optimize(args) -> int:
     if args.outcomes < 0:
         raise ParamOutOfRange(f"--outcomes must be >= 0 (0 = Kraus count), got {args.outcomes}")
+    if args.oracle < 0:
+        raise ParamOutOfRange(f"--oracle must be >= 0 (0 = off), got {args.oracle}")
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     outcomes = args.outcomes if args.outcomes > 0 else channel.kraus_count
-    # 0 means no oracle; sample_oracle refuses a negative count before the search runs
-    oracle = sample_oracle(channel, rho, args.oracle, args.seed) if args.oracle else None
     result = optimize_erasure(
         channel,
         rho,
@@ -256,33 +242,17 @@ def cmd_optimize(args) -> int:
     verdict = detect_random_unitary(
         channel, restarts=args.restarts, seed=args.seed, result=result
     )
-    config = {
-        "command": "optimize",
-        "format": "json",
-        "channel": channel_spec,
-        "state": args.state,
-        "outcomes": outcomes,
-        "restarts": args.restarts,
-        "iters": args.iters,
-        "tol": args.tol,
-        "oracle": args.oracle,
-        "seed": args.seed,
-        "out": args.out,
-    }
     payload = {
-        "config": config,
+        "config": _config(args, "json", channel=channel_spec, outcomes=outcomes),
         "result": result_to_dict(result),
         "random_unitary": verdict_to_dict(verdict),
     }
-    if oracle is not None:
-        payload["result"]["oracle_value"] = oracle
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_stable(payload))
+    # drawn after the search, so every refusal comes before it; 0 means no oracle
+    if args.oracle:
+        payload["result"]["oracle_value"] = sample_oracle(channel, rho, args.oracle, args.seed)
+    _write(args.out, dumps_stable(payload))
     if args.trace_csv:
-        lines = ["restart,iteration,value"]
-        lines += [f"{r},{i},{fmt17(v)}" for r, i, v in result.trace]
-        with open(args.trace_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.trace_csv, None, ("restart", "iteration", "value"), result.trace)
     print(
         f"wrote {args.out} (best value {result.best_value:.12f}, "
         f"random unitary: {verdict.is_random_unitary})"

@@ -16,7 +16,7 @@ states breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -162,13 +162,7 @@ class ErasureReport:
             assert value >= SLACK_FLOOR, f"{link} = {value:.6e} below {SLACK_FLOOR:.0e}"
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            out[f.name] = value
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _chain_quantities(channel, rho, ens, meas):

@@ -216,8 +216,8 @@ def _joint(members: np.ndarray, refined: np.ndarray) -> np.ndarray:
 
     ``refined`` may stack branch sets over leading axes; the joints stack over the same axes.
     """
-    effects = numerics.dagger(refined) @ refined
-    p = np.einsum("iab,...jba->...ij", members, effects).real
+    # the effects E'_j^dag E'_j stay unnamed, so they are freed before the clip copies p
+    p = np.einsum("iab,...jba->...ij", members, numerics.dagger(refined) @ refined).real
     if p.min(initial=0.0) < -1e-9:
         raise NotPSD(f"joint probability {p.min():.3e} is negative beyond tolerance")
     return np.clip(p, 0.0, None)

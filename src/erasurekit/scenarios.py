@@ -43,11 +43,11 @@ def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
     """Rows (theta, f_ea, mutual_info) over theta in [0, pi/2] for a fixed seeded ensemble;
     the readouts of all grid points are one stack, whose f_ea, joint distributions and
     mutual informations each come from one kernel call."""
-    # the sweep's arrays peak at 544 B per grid point (tracemalloc), in _joint:
-    # the mixing 64, the branches 128, their effects 128, the complex joint 128
-    # and its clipped real part 64, theta, cos, sin and f_ea 32; so a point
-    # counts 34 complex entries
-    grid = _grid(0.0, np.pi / 2, points, 34)
+    # the sweep's arrays peak at 480 B per grid point (tracemalloc), in _joint:
+    # theta, cos, sin and f_ea 32, the mixing 64, the branches 128, and two
+    # arrays of 128 at once, the conjugate branches and their effects, then the
+    # effects and the complex joint; so a point counts 30 complex entries
+    grid = _grid(0.0, np.pi / 2, points, 30)
     channel = preset("eraser_cnot")
     rho = np.eye(2, dtype=complex) / 2
     ens = random_ensemble(rho, ERASER_MEMBERS, np.random.default_rng([seed, 0]))

@@ -204,11 +204,14 @@ class TestAnalyze:
             ({"kraus": [[[[1.0, 0.0, 3.0]]]]}, "DimensionMismatch"),
             ({"kraus": [[[[10**400, 0], [0, 0]]]]}, "DimensionMismatch"),
             ({"preset": "depolarizing", "params": {"p": 10**400}}, "ParamOutOfRange"),
+            ({"kraus": [[EYE_PAIRS[0], EYE_PAIRS[1][:1]]]}, "DimensionMismatch"),
+            ({"kraus": [EYE_PAIRS], "dim": 3}, "DimensionMismatch"),
         ],
         ids=[
             "kraus-number", "dim-string", "params-number", "seed-string", "seed-fraction",
             "seed-negative", "p-string", "dim-fraction", "preset-list", "json-number",
             "entry-object", "entry-triple", "entry-past-float", "p-past-float",
+            "rows-ragged", "dim-mismatch",
         ],
     )
     def test_mistyped_channel_payloads_exit_with_one_error_line(
@@ -558,9 +561,15 @@ class TestOptimize:
             ("--tol", "-1"),
         ],
     )
-    def test_budget_out_of_range(self, tmp_path, capsys, flag, value):
+    def test_budget_out_of_range(self, tmp_path, capsys, monkeypatch, flag, value):
+        # the refusal comes before the oracle draws a sample; a later --oracle overrides it
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew the oracle before refusing the request")
+
+        monkeypatch.setattr(cli, "sample_oracle", refuse)
         out = tmp_path / "opt.json"
-        assert main(["optimize", "--preset", "dephasing", flag, value, "--out", str(out)]) == 1
+        argv = ["optimize", "--preset", "dephasing", "--oracle", "20000", flag, value]
+        assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
         assert not out.exists()

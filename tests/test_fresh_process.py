@@ -3,12 +3,14 @@ one process, write the same bytes.
 
 ``CASES`` is the one list of rerun requests, each a command line. Each
 runs twice, each time as its own ``python -m erasurekit.cli`` process with
-its own hash seed, and both runs write the same path, since the path is
-part of the recorded configuration; outputs and stdouts must match. The
-same requests then run through ``cli.main`` in one process, between
-requests that fail or print help, and each must write and print what its
-fresh process did. The installed ``erasurekit`` script is the ``cli.run``
-that ``python -m erasurekit.cli`` runs, so these runs stand for it too.
+its own hash seed, the first on one OpenBLAS thread and the second on two,
+and both runs write the same path, since the path is part of the recorded
+configuration; outputs and stdouts must match. The same requests then
+run through ``cli.main`` in one process, between requests that fail or
+print help, and each must write and print what its fresh process did; so
+must the command line that each output's recorded configuration names.
+The installed ``erasurekit`` script is the ``cli.run`` that
+``python -m erasurekit.cli`` runs, so these runs stand for it too.
 """
 
 import itertools
@@ -31,6 +33,11 @@ CASES = {
     # analyze on a named preset, and on a preset given as channel JSON
     "analyze-preset": "analyze --preset amplitude_damping --param 0.3 --seed 9 --out analyze.json",
     "analyze-preset-file": "analyze --channel channel.json --seed 3 --out analyze.json",
+    # the readout, ensemble and IC flags, each away from its default
+    "analyze-flags": (
+        "analyze --preset dephasing --param 0.2 --mixing hadamard --members 3 --ic-size 5"
+        " --seed 4 --out analyze.json"
+    ),
     # the oracle's Haar draw, on the closed-form qubit path and on the SVD path
     "optimize-oracle-qubit": (
         "optimize --preset amplitude_damping --param 0.5 --oracle 2000 --out optimize.json"
@@ -41,7 +48,8 @@ CASES = {
     # more outcomes than Kraus operators on a channel far from unital: the
     # random-unitary verdict reads this search's mixing, with no second search
     "optimize-outcomes-dim3": (
-        "optimize --preset random --dim 3 --kraus 3 --outcomes 4 --restarts 3 --out optimize.json"
+        "optimize --preset random --dim 3 --kraus 3 --outcomes 4 --restarts 3 --tol 1e-10"
+        " --out optimize.json"
     ),
     # restart 1 leaves W = I and finds the Hadamard mixing, and the polish
     # builds the witness from it
@@ -79,9 +87,10 @@ def _write_channel(cwd) -> None:
     )
 
 
-def _run(argv, cwd) -> tuple[bytes, str]:
+def _run(argv, cwd, threads: int) -> tuple[bytes, str]:
     path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
     env.pop("PYTHONHASHSEED", None)
     done = subprocess.run(
         [sys.executable, "-m", "erasurekit.cli", *argv], cwd=cwd, env=env, check=True,
@@ -99,7 +108,7 @@ def fresh(tmp_path_factory):
         if case not in runs:
             cwd = tmp_path_factory.mktemp(case)
             _write_channel(cwd)
-            runs[case] = _run(CASES[case].split(), cwd)
+            runs[case] = _run(CASES[case].split(), cwd, threads=1)
         return runs[case]
 
     return run
@@ -108,7 +117,7 @@ def fresh(tmp_path_factory):
 @pytest.mark.parametrize("case", CASES)
 def test_rerun_in_a_fresh_process_is_byte_identical(tmp_path, case, fresh):
     _write_channel(tmp_path)
-    assert _run(CASES[case].split(), tmp_path) == fresh(case)
+    assert _run(CASES[case].split(), tmp_path, threads=2) == fresh(case)
 
 
 # requests that end before writing anything: a usage error, help, a typed error
@@ -133,6 +142,53 @@ def test_one_process_serving_many_requests_writes_fresh_process_bytes(
         assert cli.main(argv) == 0, case
         assert ((tmp_path / _out(argv)).read_bytes(), capsys.readouterr().out) == fresh(case), case
     assert not (tmp_path / "never.csv").exists()
+
+
+def _recorded(output: bytes) -> dict:
+    """The configuration an output records: a JSON file's ``config``, a CSV's ``#`` line."""
+    text = output.decode()
+    if text.startswith("# "):
+        return json.loads(text.splitlines()[0][2:])
+    return json.loads(text)["config"]
+
+
+def _rebuilt(config: dict) -> list[str]:
+    """The command line that a recorded configuration names."""
+    config = dict(config)
+    argv = [config.pop("command")]
+    del config["format"]
+    channel = config.pop("channel", None)
+    if channel is not None and "file" in channel:
+        argv += ["--channel", channel["file"]]
+    elif channel is not None:
+        argv += ["--preset", channel["preset"]]
+        for key, value in channel["params"].items():
+            if key == "seed":  # set by --seed, which the config records itself
+                assert value == config["seed"]
+            else:
+                argv += [f"--{key}" if key in ("dim", "kraus") else "--param", str(value)]
+    ensemble = config.pop("ensemble", None)
+    if ensemble is not None and "file" in ensemble:
+        argv += ["--ensemble", ensemble["file"]]
+    elif ensemble is not None:
+        argv += ["--members", str(ensemble["random_members"])]
+    if "dims" in config:
+        config["dims"] = ",".join(map(str, config["dims"]))
+    for key, value in config.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+def test_the_recorded_configuration_rebuilds_the_run(tmp_path, monkeypatch, capsys, fresh):
+    # each flag a case sets is recorded, and rerunning the recorded command
+    # writes the same bytes; a flag left out of the record would rerun at its default
+    monkeypatch.chdir(tmp_path)
+    _write_channel(tmp_path)
+    for case, line in CASES.items():
+        argv = _rebuilt(_recorded(fresh(case)[0]))
+        assert {a for a in line.split() if a.startswith("--")} <= set(argv), case
+        assert cli.main(argv) == 0, case
+        assert ((tmp_path / _out(argv)).read_bytes(), capsys.readouterr().out) == fresh(case), case
 
 
 def test_the_installed_script_runs_the_module_entry_point():

@@ -339,6 +339,21 @@ class TestEntropies:
             relative_entropy([1.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: numerics.as_matrix(np.ones(3)), DimensionMismatch, "ndim=1"),
+        (lambda: numerics.psd_eigh(np.zeros((2, 3))), DimensionMismatch, "square"),
+        (lambda: shannon_entropy([0.5, np.nan]), NotFinite, "NaN"),
+        (lambda: verify_entropy_bounds([1.0], [0.5, 0.5]), DimensionMismatch, "1 vs 2"),
+    ],
+    ids=["matrix-ndim", "eigh-not-square", "weight-nan", "bounds-lengths"],
+)
+def test_malformed_arrays_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 @pytest.mark.parametrize("d, rank", [(0, None), (-1, None), (2, 0), (2, 3)])
 def test_random_density_refuses_a_bad_dimension_or_rank(d, rank):
     with pytest.raises(DimensionMismatch):

@@ -252,6 +252,11 @@ class TestSampleOracle:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples(self, samples):
+        with pytest.raises(ParamOutOfRange, match="at least one sample"):
+            sample_oracle(preset("identity"), samples=samples)
+
     def test_projector_channel_approaches_optimum(self):
         value = sample_oracle(projector_channel(), MIXED, samples=10_000, seed=1)
         assert value >= 1 - 1e-3

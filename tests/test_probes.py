@@ -12,6 +12,7 @@ from erasurekit import (
     numerics,
     preset,
     probe_measurement,
+    probes,
     random_density,
     random_ensemble,
     random_measurement,
@@ -25,7 +26,9 @@ from erasurekit.errors import (
     NotDensity,
     NotIsometry,
     NotNormalized,
+    NotPSD,
     ParamOutOfRange,
+    SingularAverage,
 )
 from reference import measurements_equal, reconstruct
 
@@ -173,6 +176,18 @@ class TestJointDistribution:
             p = joint_distribution(ch, ens, meas)
             assert np.abs(p.sum(axis=1) - ens.weights).max() < 1e-10
 
+    def test_negative_entry_beyond_tolerance(self):
+        # ensemble() lets a member's eigenvalues dip to -1e-10; eleven of them
+        # at -0.99e-10 read -1.089e-9 on the effect that projects onto them,
+        # past the joint's -1e-9, so this needs d >= 12
+        dip = 0.99e-10
+        p0 = np.diag([1.0] + [0.0] * 11).astype(complex)
+        m0 = np.diag([0.5 + 11 * dip] + [-dip] * 11)
+        ens = ensemble([m0, 0.5 * p0])
+        channel = kraus_channel([p0, np.eye(12) - p0])
+        with pytest.raises(NotPSD, match="-1.089e-09 is negative"):
+            joint_distribution(channel, ens, canonical_measurement(2))
+
 
 class TestMutualInformation:
     def test_product_is_zero(self):
@@ -206,6 +221,14 @@ class TestMutualInformation:
         with pytest.raises(NotNormalized):
             mutual_information([[0.5, 0.5], [0.5, 0.5]])
 
+    def test_rejects_a_negative_entry(self):
+        with pytest.raises(NotNormalized, match="-1.000e-01 is negative"):
+            mutual_information([[0.6, -0.1], [0.3, 0.2]])
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatch, match="ndim=1"):
+            mutual_information(np.full(4, 0.25))
+
     def test_merging_outcomes_never_gains(self):
         # data processing: summing two outcome columns cannot increase I
         rng = np.random.default_rng(18)
@@ -237,6 +260,23 @@ class TestICEnsemble:
     def test_insufficient_members(self):
         with pytest.raises(InsufficientFrame):
             ic_ensemble(np.eye(2) / 2, 3, 1)
+
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            # every vector on one axis: the frame misses the other
+            ([[1, 0]] * 4, SingularAverage, "do not cover"),
+            # the two axes twice: the frame covers the support, but its
+            # effects are all diagonal, so they span 2 of the 4 dimensions
+            ([[1, 0], [0, 1]] * 2, InsufficientFrame, "frame rank 2 < rank"),
+        ],
+        ids=["one-direction", "diagonal-effects"],
+    )
+    def test_degenerate_frame_draw(self, monkeypatch, rows, error, match):
+        vecs = np.array(rows, dtype=complex)
+        monkeypatch.setattr(probes, "_complex_normal", lambda rng, count, shape: vecs)
+        with pytest.raises(error, match=match):
+            ic_ensemble(np.eye(2) / 2, 4, 0)
 
     def test_members_resolve_state(self):
         rng = np.random.default_rng(41)

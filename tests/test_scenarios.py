@@ -88,9 +88,9 @@ class TestEraserCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 34 complex entries of 16 B per grid point, and a fixed share for the
+        # 30 complex entries of 16 B per grid point, and a fixed share for the
         # channel, the ensemble and the state
-        assert peak <= 34 * 16 * points + 2**16
+        assert peak <= 30 * 16 * points + 2**16
 
 
 class TestTeleportCurve:
@@ -206,16 +206,16 @@ class TestDispatch:
             teleport_curve(2**20 + 1)
 
     def test_eraser_grid_is_capped_by_what_the_sweep_holds(self, monkeypatch):
-        # every grid point counts 34 complex entries, the sweep's array peak, so
-        # 493,447 points pass the 2^24-entry cap and one more point does not
+        # every grid point counts 30 complex entries, the sweep's array peak, so
+        # 559,240 points pass the 2^24-entry cap and one more point does not
         def refuse(*args, **kwargs):
             raise AssertionError("built the eraser channel after the size check")
 
         monkeypatch.setattr(scenarios, "preset", refuse)
         with pytest.raises(AssertionError, match="after the size check"):
-            eraser_curve(493_447)
-        with pytest.raises(ParamOutOfRange, match="16777232 complex entries"):
-            eraser_curve(493_448)
+            eraser_curve(559_240)
+        with pytest.raises(ParamOutOfRange, match="16777230 complex entries"):
+            eraser_curve(559_241)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ParamOutOfRange):
