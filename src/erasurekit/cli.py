@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -62,16 +63,15 @@ def _config(args, fmt: str, **resolved) -> dict:
     return {**flags, "format": fmt, **resolved}
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: str, header: dict | None, columns, rows) -> None:
-    """A CSV file; ``header``, when given, is written first as a ``#`` comment line."""
+    """A CSV file; ``header``, when given, is written first as a ``#`` comment line.
+
+    The trace CSV has none: it is a side file of an optimize JSON, whose
+    ``config`` records the run.
+    """
     lines = [] if header is None else ["# " + dumps_compact(header)]
     lines += [",".join(columns), *map(csv_line, rows)]
-    _write(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
@@ -138,7 +138,7 @@ def cmd_analyze(args) -> int:
     )
     config = _config(args, "json", channel=channel_spec, ensemble=ensemble_spec, ic_size=ic_size)
     payload = {"config": config, "direct": direct.to_dict(), "converse": converse.to_dict()}
-    _write(args.out, dumps_stable(payload))
+    Path(args.out).write_text(dumps_stable(payload), encoding="utf-8")
     worst = min(direct.worst_slack(), converse.worst_slack())
     print(f"wrote {args.out} (worst slack {worst:.3e})")
     return EXIT_OK if worst >= SLACK_FLOOR else EXIT_VERIFICATION
@@ -250,7 +250,7 @@ def cmd_optimize(args) -> int:
     # drawn after the search, so every refusal comes before it; 0 means no oracle
     if args.oracle:
         payload["result"]["oracle_value"] = sample_oracle(channel, rho, args.oracle, args.seed)
-    _write(args.out, dumps_stable(payload))
+    Path(args.out).write_text(dumps_stable(payload), encoding="utf-8")
     if args.trace_csv:
         _write_csv(args.trace_csv, None, ("restart", "iteration", "value"), result.trace)
     print(

@@ -550,18 +550,21 @@ class TestOptimize:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "flag,value,error",
         [
-            ("--restarts", "0"),
-            ("--restarts", "-3"),
-            ("--iters", "-1"),
-            ("--oracle", "-5"),
-            ("--outcomes", "-2"),
-            ("--tol", "nan"),
-            ("--tol", "-1"),
+            ("--restarts", "0", "ParamOutOfRange"),
+            ("--restarts", "-3", "ParamOutOfRange"),
+            ("--iters", "-1", "ParamOutOfRange"),
+            ("--oracle", "-5", "ParamOutOfRange"),
+            ("--outcomes", "-2", "ParamOutOfRange"),
+            ("--tol", "nan", "ParamOutOfRange"),
+            ("--tol", "-1", "ParamOutOfRange"),
+            # below the Kraus count, and 2^22 + 1 outcomes of 4 entries each, above the size cap
+            ("--outcomes", "1", "BadOutcomeCount"),
+            ("--outcomes", "4194305", "ParamOutOfRange"),
         ],
     )
-    def test_budget_out_of_range(self, tmp_path, capsys, monkeypatch, flag, value):
+    def test_budget_out_of_range(self, tmp_path, capsys, monkeypatch, flag, value, error):
         # the refusal comes before the oracle draws a sample; a later --oracle overrides it
         def refuse(*args, **kwargs):
             raise AssertionError("drew the oracle before refusing the request")
@@ -571,7 +574,7 @@ class TestOptimize:
         argv = ["optimize", "--preset", "dephasing", "--oracle", "20000", flag, value]
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_extra_outcomes_on_a_far_from_unital_channel_search_once(self, tmp_path, monkeypatch):

@@ -3,14 +3,13 @@ one process, write the same bytes.
 
 ``CASES`` is the one list of rerun requests, each a command line. Each
 runs twice, each time as its own ``python -m erasurekit.cli`` process with
-its own hash seed, the first on one OpenBLAS thread and the second on two,
-and both runs write the same path, since the path is part of the recorded
-configuration; outputs and stdouts must match. The same requests then
-run through ``cli.main`` in one process, between requests that fail or
-print help, and each must write and print what its fresh process did; so
-must the command line that each output's recorded configuration names.
-The installed ``erasurekit`` script is the ``cli.run`` that
-``python -m erasurekit.cli`` runs, so these runs stand for it too.
+its own hash seed, and both runs write the same path, since the path is
+part of the recorded configuration; outputs and stdouts must match. The
+same requests then run through ``cli.main`` in one process, between
+requests that fail or print help, and each must write and print what its
+fresh process did; so must the command line that each output's recorded
+configuration names. The installed ``erasurekit`` script is the ``cli.run``
+that ``python -m erasurekit.cli`` runs, so these runs stand for it too.
 """
 
 import itertools
@@ -48,8 +47,12 @@ CASES = {
     # more outcomes than Kraus operators on a channel far from unital: the
     # random-unitary verdict reads this search's mixing, with no second search
     "optimize-outcomes-dim3": (
-        "optimize --preset random --dim 3 --kraus 3 --outcomes 4 --restarts 3 --tol 1e-10"
-        " --out optimize.json"
+        "optimize --preset random --dim 3 --kraus 3 --outcomes 4 --restarts 3 --out optimize.json"
+    ),
+    # the search's budget flags, each away from its default
+    "optimize-flags": (
+        "optimize --preset dephasing --param 0.2 --outcomes 3 --restarts 4 --iters 60"
+        " --tol 1e-9 --seed 5 --out optimize.json"
     ),
     # restart 1 leaves W = I and finds the Hadamard mixing, and the polish
     # builds the witness from it
@@ -87,10 +90,9 @@ def _write_channel(cwd) -> None:
     )
 
 
-def _run(argv, cwd, threads: int) -> tuple[bytes, str]:
+def _run(argv, cwd) -> tuple[bytes, str]:
     path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env["OPENBLAS_NUM_THREADS"] = str(threads)
     env.pop("PYTHONHASHSEED", None)
     done = subprocess.run(
         [sys.executable, "-m", "erasurekit.cli", *argv], cwd=cwd, env=env, check=True,
@@ -108,7 +110,7 @@ def fresh(tmp_path_factory):
         if case not in runs:
             cwd = tmp_path_factory.mktemp(case)
             _write_channel(cwd)
-            runs[case] = _run(CASES[case].split(), cwd, threads=1)
+            runs[case] = _run(CASES[case].split(), cwd)
         return runs[case]
 
     return run
@@ -117,7 +119,7 @@ def fresh(tmp_path_factory):
 @pytest.mark.parametrize("case", CASES)
 def test_rerun_in_a_fresh_process_is_byte_identical(tmp_path, case, fresh):
     _write_channel(tmp_path)
-    assert _run(CASES[case].split(), tmp_path, threads=2) == fresh(case)
+    assert _run(CASES[case].split(), tmp_path) == fresh(case)
 
 
 # requests that end before writing anything: a usage error, help, a typed error
