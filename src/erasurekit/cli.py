@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics
+from . import numerics, optimizer
 from .channels import PRESETS, KrausChannel, preset, validate
 from .erasure import SLACK_FLOOR, verify_converse, verify_direct
 from .errors import ErasureKitError, ParamOutOfRange
@@ -26,7 +26,7 @@ from .probes import (
     random_ensemble,
     random_measurement,
 )
-from .scenarios import scenario_curve
+from .scenarios import TELEPORT_RESTARTS, scenario_curve
 from .serialize import (
     channel_from_dict,
     csv_line,
@@ -121,6 +121,8 @@ def _resolve_mixing(args, kraus_count: int):
 def cmd_analyze(args) -> int:
     if args.ic_size < 0:
         raise ParamOutOfRange(f"--ic-size must be >= 0 (0 = dim^2), got {args.ic_size}")
+    if args.ensemble and args.members is not None:
+        raise ParamOutOfRange("an --ensemble file takes no --members")
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     meas = _resolve_mixing(args, channel.kraus_count)
@@ -128,8 +130,9 @@ def cmd_analyze(args) -> int:
         ens = ensemble_from_dict(load_json(args.ensemble))
         ensemble_spec: dict | str = {"file": args.ensemble}
     else:
-        ens = random_ensemble(rho, args.members, np.random.default_rng([args.seed, 1]))
-        ensemble_spec = {"random_members": args.members}
+        members = 4 if args.members is None else args.members
+        ens = random_ensemble(rho, members, np.random.default_rng([args.seed, 1]))
+        ensemble_spec = {"random_members": members}
     ic_size = args.ic_size if args.ic_size > 0 else channel.dim**2
 
     direct = verify_direct(channel, rho, ens, meas)
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mixing", default="identity", help='"identity", "hadamard", or a measurement JSON file'
     )
     analyze.add_argument("--ensemble", default=None, help="ensemble JSON file")
-    analyze.add_argument("--members", type=int, default=4, help="random ensemble size")
+    analyze.add_argument("--members", type=int, help="random ensemble size (default 4)")
     analyze.add_argument("--ic-size", type=int, default=0, help="IC ensemble size (0 = dim^2)")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--out", default="analyze.json")
@@ -289,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_source(optimize)
     optimize.add_argument("--state", default="mixed", help='"mixed" or a state JSON file')
     optimize.add_argument("--outcomes", type=int, default=0, help="0 = Kraus count")
-    optimize.add_argument("--restarts", type=int, default=32)
-    optimize.add_argument("--iters", type=int, default=500, help="MM evaluations per restart")
-    optimize.add_argument("--tol", type=float, default=1e-12)
+    optimize.add_argument("--restarts", type=int, default=optimizer.DEFAULT_RESTARTS)
+    optimize.add_argument(
+        "--iters", type=int, default=optimizer.DEFAULT_MAX_ITERS, help="MM evaluations per restart"
+    )
+    optimize.add_argument("--tol", type=float, default=optimizer.DEFAULT_TOL)
     optimize.add_argument("--oracle", type=int, default=0, help="Haar samples for the oracle (0 = off)")
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--out", default="optimize.json")
@@ -306,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = sub.add_parser("scenario", help="closed-form sweep curves as CSV")
     scenario.add_argument("--name", choices=["eraser", "teleport"], required=True)
     scenario.add_argument("--grid", type=int, default=None, help="grid points (>= 2)")
-    scenario.add_argument("--restarts", type=int, default=8, help="teleport optimized column")
+    scenario.add_argument(
+        "--restarts", type=int, default=TELEPORT_RESTARTS, help="teleport optimized column"
+    )
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--out", default="scenario.csv")
     return parser

@@ -65,7 +65,7 @@ class InsufficientFrame(ErasureKitError):
 
 
 class SingularAverage(ErasureKitError):
-    """State is numerically rank-deficient relative to the requested support handling."""
+    """Frame vectors that do not cover the support of the state."""
 
 
 class EnsembleMismatch(ErasureKitError):

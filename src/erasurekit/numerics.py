@@ -6,11 +6,12 @@ of threads. Entropic quantities use the natural logarithm (nats) throughout;
 the constants in the Pinsker-type bounds hold as written only in that
 convention.
 
-Two bounded caches sit under ``psd_eigh`` and ``trace_norm``, because one
-verify trial decomposes the same few matrices (the state above all) many
-times over. Each is an LRU (``functools.lru_cache``, which is thread-safe)
-keyed by the exact matrix: its shape and a 16-byte BLAKE2b digest of its
-bytes, so an entry holds no copy of its input.
+One bounded cache sits under ``psd_eigh``, because one verify trial
+decomposes the same few matrices (the state above all) many times over. It
+is a two-entry LRU (``functools.lru_cache``, which is thread-safe) keyed by
+the exact matrix, its shape and its bytes. So each entry keeps a copy of
+its d x d input next to its eigenvalues and d x d eigenvectors, about twice
+what the results alone take.
 Only an exact byte-for-byte repeat hits, errors are never cached, and a hit
 returns what the computation returns, so results do not depend on call
 history. ``psd_eigh`` hands out read-only arrays, since a hit shares them
@@ -20,8 +21,8 @@ Qubit work takes its small decompositions in closed form, because for a
 2 x 2 matrix a LAPACK call costs far more than its arithmetic: on a 2-core
 x86 host with OpenBLAS, a stacked 2 x 2 SVD takes about 15 us per call plus
 4 us per matrix, the closed-form polar factor about 30 us per call plus
-under 0.5 us per matrix. ``_trace_norms`` (also under ``trace_norm``'s
-cache) and ``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary
+under 0.5 us per matrix. ``_trace_norms`` (``trace_norm``'s kernel) and
+``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary
 polar factor without an SVD, and ``_haar`` writes out the QR of a 2 x 2
 Ginibre draw. Each selects its path by shape: every other shape takes LAPACK,
 so its results do not change by a bit; the closed forms agree with LAPACK to
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from hashlib import blake2b
 
 import numpy as np
 
@@ -101,35 +101,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Digest:
-    """Cache key of a matrix: its shape and a 16-byte digest of its bytes.
-
-    The matrix itself rides along only until the cached function takes it, so
-    a cache entry keeps the key alone, whatever the matrix size.
-    """
-
-    __slots__ = ("key", "matrix")
-
-    def __init__(self, m: np.ndarray):
-        self.matrix = m
-        self.key = (m.shape, blake2b(m.tobytes(), digest_size=16).digest())
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-    def take(self) -> np.ndarray:
-        m, self.matrix = self.matrix, None
-        return m
-
-
 # Two entries hold every repeat a verify trial makes (its state and the
 # matrix decomposed between two of its uses), and bound the memory kept.
 @lru_cache(maxsize=2)
-def _cached_psd_eigh(digest: _Digest) -> tuple[np.ndarray, np.ndarray]:
-    p = digest.take()
+def _cached_psd_eigh(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    p = np.frombuffer(data, dtype=complex).reshape(shape)
     herm_dev = float(np.abs(p - dagger(p)).max(initial=0.0))
     if herm_dev > 1e-10:
         raise NotPSD(f"matrix is not Hermitian: max |P - P^dag| = {herm_dev:.3e}")
@@ -151,7 +127,7 @@ def psd_eigh(p) -> tuple[np.ndarray, np.ndarray]:
     p = as_matrix(p)
     if p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {p.shape}")
-    return _cached_psd_eigh(_Digest(p))
+    return _cached_psd_eigh(p.shape, p.tobytes())
 
 
 def psd_sqrt(p) -> np.ndarray:
@@ -178,14 +154,9 @@ def support_rank(p) -> int:
     return int((w > RANK_CUTOFF).sum())
 
 
-@lru_cache(maxsize=64)
-def _cached_trace_norm(digest: _Digest) -> float:
-    return float(_trace_norms(digest.take()))
-
-
 def trace_norm(a) -> float:
     """Trace norm ||a||_1 = sum of singular values, by the kernel ``_trace_norms``."""
-    return _cached_trace_norm(_Digest(as_matrix(a)))
+    return float(_trace_norms(as_matrix(a)))
 
 
 def _det_and_trace_norm(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -108,10 +108,6 @@ class Ensemble:
     def members(self) -> tuple[np.ndarray, ...]:
         return tuple(self.stack)
 
-    @property
-    def size(self) -> int:
-        return self.stack.shape[0]
-
     @cached_property
     def weights(self) -> np.ndarray:
         return numerics._read_only(np.trace(self.stack, axis1=1, axis2=2).real)
@@ -283,8 +279,6 @@ def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
     w, v = numerics.psd_eigh(rho)
     keep = w > cutoff
     r = int(keep.sum())
-    if r == 0:
-        raise SingularAverage("state has numerically empty support")
     basis = v[:, keep]
     if members < r * r:
         raise InsufficientFrame(

@@ -22,6 +22,7 @@ from .probes import _information, _joint, random_ensemble
 
 ERASER_GRID = 33
 TELEPORT_GRID = 21
+TELEPORT_RESTARTS = 8
 
 # Members of the seeded ensemble whose mutual information the eraser curve reports.
 ERASER_MEMBERS = 4
@@ -59,7 +60,7 @@ def eraser_curve(points: int = ERASER_GRID, seed: int = 0):
     return list(zip(grid.tolist(), f_ea.tolist(), info.tolist()))
 
 
-def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8):
+def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = TELEPORT_RESTARTS):
     """Rows (lambda0, f_ea_canonical, f_ea_optimized) over lambda0 in [0, 1].
 
     f_ea_optimized is ``optimize_erasure(channel, rho, restarts=restarts,
@@ -78,7 +79,9 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = 8
     return [(float(x), trace[0][2], best) for x, (_, best, _, trace) in zip(grid, searches)]
 
 
-def scenario_curve(name: str, points: int | None = None, seed: int = 0, restarts: int = 8):
+def scenario_curve(
+    name: str, points: int | None = None, seed: int = 0, restarts: int = TELEPORT_RESTARTS
+):
     """Dispatch by scenario name; returns (column names, rows).
 
     Raises ParamOutOfRange when ``restarts < 1``, whichever the name.

@@ -1,7 +1,7 @@
-"""The bounded caches under ``psd_eigh`` and ``trace_norm``, and the operator stack.
+"""The bounded cache under ``psd_eigh``, ``trace_norm``, and the operator stack.
 
 The references below call numpy directly, with no cache, and do the same
-arithmetic as the cached functions, so results must be bitwise equal.
+arithmetic as the package's functions, so results must be bitwise equal.
 """
 
 import gc
@@ -33,7 +33,6 @@ def _ref_trace_norm(a):
 
 def _clear():
     numerics._cached_psd_eigh.cache_clear()
-    numerics._cached_trace_norm.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +52,7 @@ def _seeded_matrices(count):
 
 
 def test_bitwise_equal_to_the_uncached_reference_through_evictions_and_hits():
-    mats = _seeded_matrices(80)  # more than either cache holds
+    mats = _seeded_matrices(80)  # more than the cache holds
     order = np.random.default_rng(5).integers(0, len(mats), size=600)
     for i in order:
         rho, a = mats[i]
@@ -62,11 +61,10 @@ def test_bitwise_equal_to_the_uncached_reference_through_evictions_and_hits():
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
         assert numerics.trace_norm(a) == _ref_trace_norm(a)
         assert numerics.trace_norm(rho) == _ref_trace_norm(rho)
-    for cached in (numerics._cached_psd_eigh, numerics._cached_trace_norm):
-        info = cached.cache_info()
-        # repeats inside the window hit; repeats after an eviction recompute
-        assert info.hits > 0 and info.misses > len(mats)
-        assert info.currsize == info.maxsize
+    info = numerics._cached_psd_eigh.cache_info()
+    # repeats inside the window hit; repeats after an eviction recompute
+    assert info.hits > 0 and info.misses > len(mats)
+    assert info.currsize == info.maxsize
 
 
 def test_threads_sharing_the_caches_get_the_reference_results():
@@ -141,7 +139,7 @@ def test_an_entry_keeps_no_reference_to_its_input():
     del a
     gc.collect()
     assert alive() is None
-    assert numerics._cached_trace_norm.cache_info().currsize == 1
+    assert numerics._cached_psd_eigh.cache_info().currsize == 1
 
 
 def test_shared_outputs_are_read_only():

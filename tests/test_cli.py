@@ -42,7 +42,7 @@ class TestSerialization:
     def test_ensemble_and_measurement_files(self):
         ens = random_ensemble(np.eye(2) / 2, 3, 1)
         again = ensemble_from_dict({"members": [encode_matrix(m) for m in ens.members]})
-        assert again.size == 3
+        assert again.stack.shape[0] == 3
         meas = measurement_from_dict({"mixing": encode_matrix(hadamard_measurement().mixing)})
         assert meas.outcomes == 2
 
@@ -114,6 +114,27 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ParamOutOfRange: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("members", ["4", "9"])
+    def test_members_with_an_ensemble_file(self, tmp_path, capsys, members):
+        # the record keeps the file in place of --members, so an accepted
+        # --members would leave no trace in the output
+        ens_file = tmp_path / "ens.json"
+        halves = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
+        ens_file.write_text(json.dumps({"members": [encode_matrix(m) for m in halves]}))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--preset", "dephasing", "--ensemble", str(ens_file)]
+        assert main([*argv, "--members", members, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ParamOutOfRange: an --ensemble file takes no --members\n"
+        assert not out.exists()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["ensemble"] == {"file": str(ens_file)}
+
+    def test_members_default_is_recorded(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--preset", "dephasing", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["ensemble"] == {"random_members": 4}
 
     @pytest.mark.parametrize(
         "source, flags",

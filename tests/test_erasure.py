@@ -13,7 +13,6 @@ from erasurekit import (
     hadamard_measurement,
     haar_isometry,
     kraus_channel,
-    numerics,
     optimize_erasure,
     preset,
     random_density,
@@ -411,7 +410,6 @@ class TestBranchKernel:
         # every 2 x 2 branch trace norm and polar factor takes the closed form,
         # whether LAPACK would see it as one stack or as single matrices
         call = _qubit_branch_calls()[name]
-        numerics._cached_trace_norm.cache_clear()
         seen = []
         for lapack in ("svd", "qr"):
             real = getattr(np.linalg, lapack)

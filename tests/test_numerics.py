@@ -90,7 +90,6 @@ class TestTraceNorm:
             assert trace_norm(a) == float(_trace_norms(numerics.as_matrix(a)))
 
     def test_qubit_takes_no_svd(self, monkeypatch):
-        numerics._cached_trace_norm.cache_clear()
         real = np.linalg.svd
         seen = []
 

@@ -137,7 +137,7 @@ class TestEnsemble:
             rho = random_density(d, rng)
             n = int(rng.integers(2, 7))
             ens = random_ensemble(rho, n, rng)
-            assert ens.size == n
+            assert ens.stack.shape[0] == n
             assert np.abs(ens.average - rho).max() < 1e-9
             assert ens.beta >= 0.01 / n - 1e-12
             for m in ens.members:
