@@ -213,19 +213,17 @@ def verify_direct(
     beta = ens.beta
     sum_trace_sq = float((probs * trace_dists**2).sum())
     sum_l1_sq = float((probs * classical_l1**2).sum())
-    a1 = 1 - sum_trace_sq / 4
-    a2 = 1 - sum_l1_sq / 4
-    a3 = 1 - beta * info / 4
+    # links below the first are taken directly, not as differences of terms near 1
     return ErasureReport(
         f_e=f_e,
         f_ea=f_ea,
         mutual_info=info,
         beta=beta,
         gamma=None,
-        slack_fidelity_trace=a1 - f_ea,
-        slack_measurement_l1=a2 - a1,
-        slack_pinsker=a3 - a2,
-        slack_total=1 - a3,
+        slack_fidelity_trace=1 - sum_trace_sq / 4 - f_ea,
+        slack_measurement_l1=(sum_trace_sq - sum_l1_sq) / 4,
+        slack_pinsker=(sum_l1_sq - beta * info) / 4,
+        slack_total=beta * info / 4,
         slack_converse=None,
         sum_pj_trace_sq=sum_trace_sq,
         sum_pj_l1_sq=sum_l1_sq,

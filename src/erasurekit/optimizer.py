@@ -53,6 +53,9 @@ trace rows keep every accepted value. The polish in ``detect_random_unitary``
 is this ascent from one start, the search's best mixing, at tolerance 0: it
 runs while F strictly increases, for at most POLISH_ITERS evaluations.
 
+``optimize_erasure``, ``sample_oracle``, ``detect_random_unitary`` and the
+teleport sweep take their problems, E_k rho at a checked state, from ``_problem``.
+
 The do-nothing mixing W = I is always restart 0. Restart 1 starts about 1e-6
 off it at every m >= K, at the polar factor of (I_m + 1e-6 S) I_{m x K} with S
 fixed and antisymmetric. The remaining restarts are seeded Haar isometries.
@@ -73,7 +76,7 @@ from .channels import (
     kraus_channel,
     validate,
 )
-from .errors import BadOutcomeCount, ParamOutOfRange
+from .errors import BadOutcomeCount, DimensionMismatch, ParamOutOfRange
 from .probes import OUTCOME_FLOOR, ProbeMeasurement, probe_measurement
 
 DEFAULT_RESTARTS = 32
@@ -118,8 +121,8 @@ class RandomUnitaryVerdict:
 
     When true, ``witness`` holds pairs (weight, unitary) whose mixture
     reproduces the channel; ``residual`` measures how far the normalized
-    branches are from unitarity at the polished mixing, or at the best mixing
-    searched or supplied when the unitality gap alone decides a false verdict.
+    branches are from unitarity at the polished mixing, or, when the unitality
+    gap decides a false verdict, at the supplied mixing or W = I.
     """
 
     is_random_unitary: bool
@@ -250,8 +253,12 @@ def _ascend(ops, starts, budget, tol):
     return ascents
 
 
-def _maximally_mixed(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex) / d
+def _problem(channel: KrausChannel, rho):
+    """The checked ``rho``, or I/d when it is None, and the validated channel's E_k rho."""
+    validate(channel)
+    d = channel.dim
+    rho = np.eye(d, dtype=complex) / d if rho is None else _check_state(channel, rho)
+    return rho, channel.stack @ rho
 
 
 def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
@@ -291,23 +298,19 @@ def optimize_erasure(
     Raises ParamOutOfRange when ``restarts < 1``, ``max_iters < 0`` or ``tol``
     is negative or NaN.
     """
-    validate(channel)
+    rho, ops = _problem(channel, rho)
     if restarts < 1 or max_iters < 0 or not tol >= 0:
         raise ParamOutOfRange(
             f"need restarts >= 1, max_iters >= 0 and tol >= 0, got {restarts}, {max_iters}, {tol}"
         )
-    rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
     kk = channel.kraus_count
     m = kk if outcomes is None else int(outcomes)
     if m < kk:
         raise BadOutcomeCount(f"need at least {kk} outcomes, got {m}")
-    _check_entries(m * max(kk, channel.dim**2), f"{m} outcomes")
-    ((best_w, best_value, converged, trace),) = _search(
-        (channel.stack @ rho)[None], m, restarts, max_iters, tol, seed
-    )
+    ((w, value, converged, trace),) = _search(ops[None], m, restarts, max_iters, tol, seed)
     return OptimizationResult(
-        best_mixing=probe_measurement(best_w),
-        best_value=best_value,
+        best_mixing=probe_measurement(w),
+        best_value=value,
         trace=tuple(trace),
         converged=converged,
         state=numerics._read_only(rho.copy()),
@@ -324,10 +327,13 @@ def _search(ops, m, restarts, max_iters, tol, seed):
     beyond one group's. Ascents run in lockstep groups of whole problems with
     all their restarts, or of one problem with a run of its restarts, within
     GROUP_ENTRIES; restart r's first point depends only on (r, m, K, seed), so
-    it is drawn once per group and shared by the group's problems.
+    it is drawn once per group and shared by the group's problems. An ascent
+    stacks m * max(K, d^2) complex entries; above the size cap, nothing runs.
     """
     _, kk, d, _ = ops.shape
-    group = max(1, GROUP_ENTRIES // (m * max(kk, d * d)))
+    entries = m * max(kk, d * d)
+    _check_entries(entries, f"{m} outcomes")
+    group = max(1, GROUP_ENTRIES // entries)
     chunk = min(restarts, group)  # restarts per group
     span = max(1, group // restarts)  # problems per group
     for first_problem in range(0, len(ops), span):
@@ -352,23 +358,16 @@ def sample_oracle(channel: KrausChannel, rho=None, samples: int = 1, seed: int =
     unitaries; 2 x 2 draws and branches take closed forms); deterministic for
     a fixed seed.
     """
-    validate(channel)
-    rho = _check_state(channel, rho) if rho is not None else _maximally_mixed(channel.dim)
+    _, ops_rho = _problem(channel, rho)
     if samples < 1:
         raise ParamOutOfRange(f"need at least one sample, got {samples}")
     kk = channel.kraus_count
-    ops = channel.stack
-    ops_rho = ops @ rho
     rng = np.random.default_rng(seed)
     best = -np.inf
-    chunk = 4096
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        w = numerics._haar((n, kk, kk), rng)
+    for done in range(0, samples, 4096):
+        w = numerics._haar((min(4096, samples - done), kk, kk), rng)
         t = numerics._trace_norms(np.einsum("njk,kab->njab", w, ops_rho))
         best = max(best, float((t**2).sum(axis=-1).max()))
-        done += n
     return best
 
 
@@ -394,16 +393,16 @@ def detect_random_unitary(
 ) -> RandomUnitaryVerdict:
     """Decide numerically whether the channel mixes unitaries.
 
-    Optimizes erasure at the maximally mixed state, then polishes the best
-    mixing with the same ascent at tolerance 0, so the normalized branches
+    A channel that the unitality gap refuses (below) is decided at once, false,
+    with ``residual`` taken at the best mixing of ``result``, or at W = I when
+    none is given. A ``result`` that mixes another number of Kraus operators
+    raises DimensionMismatch. Otherwise ``result`` is reused when it was
+    searched at I/d with K outcomes, as a default ``optimize_erasure`` run is,
+    else the function searches there itself, seeded by ``seed``; then the same
+    ascent polishes the best mixing at tolerance 0, so the normalized branches
     N_j = E'_j / sqrt(p(j)) can be tested for unitarity at witness precision.
-    ``result`` replaces the search when it was optimized at the maximally mixed
-    state with as many outcomes as Kraus operators, as a default
-    ``optimize_erasure`` run is, or, at any state and outcome count, when the
-    unitality gap refuses the channel.
-    A true verdict needs the optimum within RANDOM_UNITARY_TOL of one and a
-    residual max |N_j^dag N_j - I| below sqrt(ERASURE_INFO_TOL) / d; ``seed``
-    seeds only the function's own search.
+    A true verdict needs the polished value within RANDOM_UNITARY_TOL of one
+    and a residual max |N_j^dag N_j - I| below sqrt(ERASURE_INFO_TOL) / d.
 
     That residual certifies erasure. For an ensemble {q_x, rho_x} of I/d, the
     joint distribution P(x, j) = q_x Tr[E'_j^dag E'_j rho_x] has marginals q
@@ -416,7 +415,7 @@ def detect_random_unitary(
     but for the floor term, when the verdict is true.
 
     Every mixture of unitaries is unital, and a channel far from unital is
-    settled before the polish. For any m x K isometry W the branches keep
+    refused by its gap. For any m x K isometry W the branches keep
     sum_j E'_j E'_j^dag = sum_k E_k E_k^dag. N_j N_j^dag and N_j^dag N_j share
     their spectrum, and a d x d spectral norm is at most d times the largest
     entry, so ||E'_j E'_j^dag - p(j) I||_2 <= d p(j) residual for each kept
@@ -430,27 +429,23 @@ def detect_random_unitary(
 
     up to a relative COMPLETENESS_ATOL on the first term. At the residual
     limit the first term is sqrt(ERASURE_INFO_TOL), whatever d. So when the
-    gap exceeds twice this bound there (the factor covers that term and
-    rounding), no mixing passes, the polish cannot change the verdict and is
-    skipped: the verdict is false, with ``residual`` taken at the best mixing
-    of ``result``, if given, else of the search. Other channels take the polish.
+    gap exceeds twice this bound there at m = K (the factor covers that term
+    and rounding), no K-outcome mixing passes, and no search or polish could
+    change the verdict.
     """
-    validate(channel)
-    d = channel.dim
-    rho = _maximally_mixed(d)
-    kk = channel.kraus_count
-    ops = channel.stack
+    rho, ops_rho = _problem(channel, None)
+    d, kk, ops = channel.dim, channel.kraus_count, channel.stack
+    best = None if result is None else result.best_mixing
+    if best is not None and best.kraus_count != kk:
+        raise DimensionMismatch(f"result mixes {best.kraus_count} Kraus indices, channel has {kk}")
     limit = np.sqrt(ERASURE_INFO_TOL) / d
     gap = np.linalg.norm(np.einsum("kab,kcb->ac", ops, ops.conj()) - np.eye(d), 2)
-    refused = gap > 2 * (d * limit + (d + 1) * kk * OUTCOME_FLOOR + COMPLETENESS_ATOL)
-    fits = result is not None and result.best_mixing.kraus_count == kk
-    reusable = fits and result.best_mixing.outcomes == kk and np.array_equal(result.state, rho)
-    if not (reusable or fits and refused):
-        result = optimize_erasure(channel, rho, restarts=restarts, seed=seed)
-    if refused:
-        residual = _normalized_branches(ops, result.best_mixing.mixing)[2]
-        return RandomUnitaryVerdict(False, None, residual)
-    (polished,) = _ascend([ops @ rho], [result.best_mixing.mixing], POLISH_ITERS, 0.0)
+    if gap > 2 * (d * limit + (d + 1) * kk * OUTCOME_FLOOR + COMPLETENESS_ATOL):
+        w = np.eye(kk, dtype=complex) if best is None else best.mixing
+        return RandomUnitaryVerdict(False, None, _normalized_branches(ops, w)[2])
+    if best is None or best.outcomes != kk or not np.array_equal(result.state, rho):
+        best = optimize_erasure(channel, restarts=restarts, seed=seed).best_mixing
+    (polished,) = _ascend(ops_rho[None], [best.mixing], POLISH_ITERS, 0.0)
     probs, normalized, residual = _normalized_branches(ops, polished.w)
 
     if polished.value < 1 - RANDOM_UNITARY_TOL or residual >= limit:

@@ -299,12 +299,12 @@ def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
     effects_s = g_inv_half @ outers @ g_inv_half
 
     frame = np.ascontiguousarray(effects_s.reshape(members, r * r).T)  # r^2 x members
-    sing = np.linalg.svd(frame, compute_uv=False)
-    if int((sing > sing[0] * 1e-10).sum()) < r * r:
-        raise InsufficientFrame(
-            f"frame rank {(sing > sing[0] * 1e-10).sum()} < rank(rho)^2 = {r * r}"
-        )
-    duals_flat = np.linalg.solve(frame @ numerics.dagger(frame), frame)
+    # the canonical duals (frame frame^dag)^-1 frame = u s^-1 vh, from the frame's own SVD
+    u, sing, vh = np.linalg.svd(frame, full_matrices=False)
+    rank = int((sing > sing[0] * 1e-10).sum())
+    if rank < r * r:
+        raise InsufficientFrame(f"frame rank {rank} < rank(rho)^2 = {r * r}")
+    duals_flat = (u / sing) @ vh
     duals_s = numerics.hermitize(duals_flat.T.reshape(members, r, r))
 
     sq = numerics.psd_power(rho, 0.5)

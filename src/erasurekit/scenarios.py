@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .channels import _check_entries, preset
 from .errors import ParamOutOfRange, UnknownScenario
-from .optimizer import DEFAULT_MAX_ITERS, DEFAULT_TOL, _search
+from .optimizer import DEFAULT_MAX_ITERS, DEFAULT_TOL, _problem, _search
 from .probes import _information, _joint, random_ensemble
 
 ERASER_GRID = 33
@@ -73,8 +73,8 @@ def teleport_curve(points: int = TELEPORT_GRID, seed: int = 0, restarts: int = T
     grid = _grid(0.0, 1.0, points, 16)
     if restarts < 1:
         raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")
-    rho = np.eye(2, dtype=complex) / 2
-    ops = np.stack([preset("partial_teleportation", lam0=float(x)).stack for x in grid]) @ rho
+    channels = [preset("partial_teleportation", lam0=float(x)) for x in grid]
+    ops = np.stack([_problem(channel, None)[1] for channel in channels])
     searches = _search(ops, 4, restarts, DEFAULT_MAX_ITERS, DEFAULT_TOL, seed)
     return [(float(x), trace[0][2], best) for x, (_, best, _, trace) in zip(grid, searches)]
 

@@ -138,14 +138,15 @@ def test_direct_chain_is_within_rounding_of_the_reference(trial):
 # operators diag(a_k), with a a K x d complex normal matrix whose columns have
 # unit norm) reaches F_ea = 1 at 9 outcomes. It is scaled by sqrt(1 - eps),
 # with sqrt(eps) times a random 2-operator channel appended; at eps = 0 those
-# two operators are zero and kraus_channel drops them. At eps = 0 the slacks
-# fall below the spacing of floats near 1, which the chain's differences
-# 1 - a3 and a3 - a2 round to: slack_total reads 1.1e-16 (2^-53) where the
-# reference gives 5.5e-17, and 2^-53 or 2^-52 on the other ensembles.
+# two operators are zero and kraus_channel drops them. At eps = 0 the
+# mutual information is about 1e-15, an entropy difference of terms near 1,
+# so it rounds to a multiple of their ulps: it reads 1.78e-15 where the
+# reference gives 1.34e-15 (3-member ensemble), and slack_total = beta I / 4,
+# computed from it directly, reads 7.3e-17 against 5.5e-17.
 ROUNDED_TO_ULPS = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="slacks below 2^-53 round to multiples of it (1.1e-16 against 5.5e-17)",
+    reason="a mutual information near 1e-15 rounds on the scale of its O(1) entropies",
 )
 EPSILONS = (
     *(10.0**-n for n in range(2, 11)),
@@ -154,10 +155,10 @@ EPSILONS = (
 SLACKS = QUANTITIES[3:]
 
 # Relative tolerance on every slack, next to TOLERANCE. Over the fixtures from
-# eps = 1e-2 to 1e-10, 5 ensembles each, the worst relative error is 1.1e-3,
-# on slack_total at eps = 1e-10 (reference 9.1e-14, error 1.0e-16, one step of
-# 2^-53 in 1 - a3); it is below 7e-5 for eps >= 1e-9. So the tolerance leaves
-# 8.8x headroom at the tightest fixture that passes.
+# eps = 1e-2 to 1e-10, 5 ensembles each, the worst relative error is 6.6e-4,
+# on slack_total at eps = 1e-10, which inherits it from the mutual
+# information; it is below 7e-5 for eps >= 1e-9. So the tolerance leaves 15x
+# headroom at the tightest fixture that passes.
 SLACK_RTOL = 1e-2
 
 
@@ -185,3 +186,23 @@ def test_tight_direct_chain_is_within_rounding_of_the_reference(eps):
         assert max(map(float, errors.values())) <= TOLERANCE, (k, errors)
         assert max(relative.values()) <= SLACK_RTOL, (k, relative)
         assert min(float(reference[q]) for q in SLACKS) > 0, k
+
+
+# slack_measurement_l1 = (sum_trace_sq - sum_l1_sq) / 4 involves no term near 1
+# and no entropy, so it stays accurate where the chain is tight: its worst
+# relative error over these fixtures is 9.4e-11, at eps = 0. A difference of
+# 1 - sum_l1_sq / 4 and 1 - sum_trace_sq / 4 reads it to 6.7e-4 there, and
+# misses 1e-9 at every eps <= 1e-7.
+MEASUREMENT_L1_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("eps", (*(10.0**-n for n in range(2, 11)), 0.0))
+def test_tight_measurement_l1_slack_keeps_its_relative_accuracy(eps):
+    channel, rho, meas = _near_perfect(eps)
+    for k in range(5):
+        ens = random_ensemble(rho, 2 + k, [2006, 26, k])
+        slack = verify_direct(channel, rho, ens, meas).slack_measurement_l1
+        with mp.workdps(50):
+            reference = _reference(channel, rho, ens, meas)["slack_measurement_l1"]
+            relative = float(abs(mp.mpf(slack) - reference) / abs(reference))
+        assert relative <= MEASUREMENT_L1_RTOL, (k, relative)

@@ -447,6 +447,33 @@ class TestUnitalityCertificate:
         (polished,) = _ascend([ch.stack @ rho], [w], POLISH_ITERS, 0.0)
         assert branch_residual(ch, polished.w) >= 10 * np.sqrt(RANDOM_UNITARY_TOL)
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [("amplitude_damping", {"gamma": 0.5}), ("random", {"dim": 4, "kraus": 16, "seed": 4})],
+        ids=["damping", "d4k16"],
+    )
+    def test_refused_channel_without_a_result_is_not_searched(
+        self, name, params, search_calls, polish_calls
+    ):
+        ch = preset(name, **params)
+        assert unitality_gap(ch) > 2 * certificate_bound(ch.dim, ch.kraus_count)
+        verdict = detect_random_unitary(ch, seed=1)
+        assert search_calls == [] and polish_calls == []
+        assert not verdict.is_random_unitary and verdict.witness is None
+        w = np.eye(ch.kraus_count)
+        assert verdict.residual == pytest.approx(branch_residual(ch, w), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["amplitude_damping", "dephasing"])
+    def test_result_with_another_kraus_count_is_refused_before_any_search(
+        self, name, search_calls, polish_calls
+    ):
+        # refused by the gap or not, the result cannot describe this channel
+        result = optimize_erasure(preset("depolarizing", p=0.5), restarts=2, seed=1)
+        assert result.best_mixing.kraus_count == 4
+        with pytest.raises(DimensionMismatch, match="4 Kraus indices, channel has 2"):
+            detect_random_unitary(preset(name), seed=1, result=result)
+        assert search_calls == [] and polish_calls == []
+
     def test_channel_within_twice_the_bound_takes_the_polish(self, polish_calls):
         # a gap of 0.005 is above the bound (3.2e-3), but within the factor 2
         # left for rounding, so the polish decides

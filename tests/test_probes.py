@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from erasurekit import (
     canonical_measurement,
@@ -329,3 +330,25 @@ class TestICEnsemble:
         ic = ic_ensemble(np.eye(2) / 2, 4, 19)
         for dual in ic.dual_frame:
             assert np.abs(dual - dual.conj().T).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "seed,members,r",
+        [([1, 230, 4], 4, 2), ([1, 155, 4], 9, 3), ([1, 221, 4], 10, 3)],
+        ids=["r2-m4", "r3-m9", "r3-m10"],
+    )
+    def test_gamma_of_ill_conditioned_frames_matches_50_digits(self, seed, members, r):
+        # frames that verify --seed 1 draws, with gamma from 958 to 4,573; on a
+        # diagonal state the frame effects are the support frame itself, so
+        # their canonical duals (F F^dag)^-1 F are the reference. Solving with
+        # F F^dag squares the frame's condition number and missed by up to 8.5e-10.
+        rho = np.diag(np.arange(1.0, r + 1) / (r * (r + 1) / 2)).astype(complex)
+        ic = ic_ensemble(rho, members, np.random.default_rng(seed))
+        with mp.workdps(50):
+            frame = mp.matrix([[mp.mpc(complex(x)) for x in e.ravel()] for e in ic.frame_effects])
+            duals = mp.inverse(frame.T * frame.T.H) * frame.T
+            gamma = mp.zero
+            for i in range(members):
+                dual = mp.matrix([[duals[a * r + b, i] for b in range(r)] for a in range(r)])
+                s = mp.svd_c(dual, compute_uv=False)
+                gamma = max(gamma, mp.fsum(s[k] for k in range(r)))
+            assert float(abs(mp.mpf(ic.gamma) - gamma) / gamma) <= 1e-12
