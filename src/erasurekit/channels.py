@@ -28,10 +28,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
-# Kraus operators below this Frobenius norm are dropped at construction:
-# they only produce zero-probability outcomes downstream.
-ZERO_OPERATOR_NORM = 1e-12
-
 COMPLETENESS_ATOL = 1e-9
 
 # Channels are equal when their Choi matrices are within this in trace norm.
@@ -70,11 +66,12 @@ class KrausChannel:
         return self.stack.shape[0]
 
 
-def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
-    """Build a channel from an operator family, dropping numerically zero members.
+def kraus_channel(operators) -> KrausChannel:
+    """Build a channel from an operator family, keeping each operator as given.
 
-    Completeness is *not* checked here (see ``validate``): invalid families
-    must be constructible so they can be diagnosed.
+    A zero operator stays: it is an outcome that never occurs. Completeness
+    is *not* checked here (see ``validate``): invalid families must be
+    constructible so they can be diagnosed.
     """
     ops = [numerics.as_matrix(e) for e in operators]
     if not ops:
@@ -83,9 +80,6 @@ def kraus_channel(operators, *, drop_zero: bool = True) -> KrausChannel:
     for e in ops:
         if e.shape != (d, d):
             raise DimensionMismatch(f"Kraus operators must all be {d} x {d}, got {e.shape}")
-    if drop_zero:
-        kept = [e for e in ops if np.linalg.norm(e) >= ZERO_OPERATOR_NORM]
-        ops = kept or ops[:1]
     return KrausChannel(dim=d, stack=numerics._read_only(np.stack(ops)))
 
 
@@ -95,7 +89,7 @@ def validate(channel: KrausChannel) -> None:
     total = np.einsum("kba,kbc->ac", ops.conj(), ops)
     deviation = float(np.abs(total - np.eye(channel.dim)).max())
     if deviation > COMPLETENESS_ATOL:
-        raise NotTracePreserving(deviation)
+        raise NotTracePreserving(f"Kraus completeness violated: max deviation {deviation:.3e}")
 
 
 def _check_state(channel: KrausChannel, rho) -> np.ndarray:
@@ -200,7 +194,7 @@ def _partial_teleportation(lam0: float) -> KrausChannel:
 def _random(dim: int, kraus: int, seed) -> KrausChannel:
     _check_entries(dim * dim * kraus, f"random(dim={dim}, kraus={kraus})")
     v = numerics.haar_isometry(dim * kraus, dim, seed)
-    return kraus_channel([v[k * dim : (k + 1) * dim, :] for k in range(kraus)], drop_zero=False)
+    return kraus_channel([v[k * dim : (k + 1) * dim, :] for k in range(kraus)])
 
 
 # Every preset: its parameters with their defaults, and the function that
@@ -241,8 +235,7 @@ def preset(name: str, **params) -> KrausChannel:
     depolarizing(p=0.5)
         {sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}.
     amplitude_damping(gamma=0.5)
-        {[[1,0],[0,sqrt(1-g)]], [[0,sqrt(g)],[0,0]]}; the zero operator at
-        g = 0 is dropped, leaving the identity channel.
+        {[[1,0],[0,sqrt(1-g)]], [[0,sqrt(g)],[0,0]]}.
     eraser_cnot()
         {|0><0|, |1><1|}: the system dephased by a CNOT onto the probe.
     partial_teleportation(lam0=0.5)

@@ -29,12 +29,6 @@ class NotDensity(ErasureKitError):
 class NotTracePreserving(ErasureKitError):
     """Kraus operators fail the completeness relation."""
 
-    def __init__(self, deviation: float):
-        self.deviation = float(deviation)
-        super().__init__(
-            f"Kraus completeness violated: max deviation {self.deviation:.3e}"
-        )
-
 
 class NotIsometry(ErasureKitError):
     """Mixing matrix columns are not orthonormal."""

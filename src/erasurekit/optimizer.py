@@ -393,10 +393,11 @@ def detect_random_unitary(
 ) -> RandomUnitaryVerdict:
     """Decide numerically whether the channel mixes unitaries.
 
-    A channel that the unitality gap refuses (below) is decided at once, false,
-    with ``residual`` taken at the best mixing of ``result``, or at W = I when
-    none is given. A ``result`` that mixes another number of Kraus operators
-    raises DimensionMismatch. Otherwise ``result`` is reused when it was
+    ``restarts < 1`` raises ParamOutOfRange before anything else. A channel
+    that the unitality gap refuses (below) is decided at once, false, with
+    ``residual`` taken at the best mixing of ``result``, or at W = I when none
+    is given. A ``result`` that mixes another number of Kraus operators raises
+    DimensionMismatch. Otherwise ``result`` is reused when it was
     searched at I/d with K outcomes, as a default ``optimize_erasure`` run is,
     else the function searches there itself, seeded by ``seed``; then the same
     ascent polishes the best mixing at tolerance 0, so the normalized branches
@@ -433,6 +434,8 @@ def detect_random_unitary(
     and rounding), no K-outcome mixing passes, and no search or polish could
     change the verdict.
     """
+    if restarts < 1:
+        raise ParamOutOfRange(f"need restarts >= 1, got {restarts}")
     rho, ops_rho = _problem(channel, None)
     d, kk, ops = channel.dim, channel.kraus_count, channel.stack
     best = None if result is None else result.best_mixing

@@ -51,7 +51,7 @@ def test_criterion_01_decomposition_invariance():
     for _ in range(200):
         d, kk, channel, rho, _ = _random_config(rng)
         meas = random_measurement(kk + int(rng.integers(0, 2)), kk, rng)
-        refined = kraus_channel(refine(channel, meas), drop_zero=False)
+        refined = kraus_channel(refine(channel, meas))
         dev = abs(entanglement_fidelity(refined, rho) - entanglement_fidelity(channel, rho))
         worst = max(worst, dev)
         assert dev < 1e-9

@@ -9,7 +9,7 @@ from erasurekit import (
     random_density,
     validate,
 )
-from erasurekit.channels import PAULI_X, PAULI_Z, PRESETS
+from erasurekit.channels import _CHECKS, PAULI_X, PAULI_Z, PRESETS, _unit_interval
 from erasurekit.errors import (
     DimensionMismatch,
     NotTracePreserving,
@@ -26,6 +26,15 @@ def projector_channel():
     return kraus_channel([P0, P1])
 
 
+# (preset, parameter) for every parameter in [0, 1]
+UNIT_PARAMS = [
+    (name, key)
+    for name, (defaults, _) in PRESETS.items()
+    for key in defaults
+    if _CHECKS[key] is _unit_interval
+]
+
+
 class TestValidate:
     def test_identity_ok(self):
         validate(kraus_channel([np.eye(2)]))
@@ -34,8 +43,18 @@ class TestValidate:
         validate(projector_channel())
 
     def test_double_identity_rejected(self):
-        with pytest.raises(NotTracePreserving):
+        with pytest.raises(NotTracePreserving) as raised:
             validate(kraus_channel([np.eye(2), np.eye(2)]))
+        assert str(raised.value) == "Kraus completeness violated: max deviation 1.000e+00"
+
+    def test_zero_operator_is_kept(self):
+        # the family is the probe configuration: a zero operator is an
+        # outcome that never occurs, and it stays
+        zero = np.zeros((2, 2))
+        ch = kraus_channel([P0, zero, P1])
+        assert ch.kraus_count == 3
+        assert np.array_equal(ch.stack, np.stack([P0, zero, P1]))
+        validate(ch)
 
 
 class TestApply:
@@ -159,8 +178,13 @@ class TestDualEffect:
 class TestPresets:
     def test_zero_damping_is_identity(self):
         ch = preset("amplitude_damping", gamma=0.0)
-        assert ch.kraus_count == 1
+        assert ch.kraus_count == 2
         assert channels_equal(ch, preset("identity"))
+
+    @pytest.mark.parametrize("name,key", UNIT_PARAMS)
+    def test_kraus_count_does_not_depend_on_the_parameter(self, name, key):
+        counts = [preset(name, **{key: v}).kraus_count for v in (0.0, 1e-25, 0.5, 1.0)]
+        assert counts == [counts[0]] * 4, counts
 
     def test_partial_teleportation_half_fully_mixes(self):
         ch = preset("partial_teleportation", lam0=0.5)

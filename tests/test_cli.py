@@ -12,7 +12,7 @@ from erasurekit.serialize import (
     ensemble_from_dict,
     measurement_from_dict,
 )
-from erasurekit import hadamard_measurement, numerics, preset, random_ensemble
+from erasurekit import hadamard_measurement, kraus_channel, numerics, preset, random_ensemble
 from reference import branch_residual, channel_to_dict
 
 
@@ -97,6 +97,29 @@ class TestAnalyze:
         payload = json.loads(out.read_text())
         assert payload["direct"]["f_e"] == pytest.approx(1.0, abs=1e-9)
         assert payload["direct"]["f_ea"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_damping_keeps_the_kraus_count_a_named_mixing_reads(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--preset", "amplitude_damping", "--param", "0", "--mixing", "hadamard"]
+        assert main([*argv, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_an_explicit_zero_operator_is_kept(self, tmp_path, at):
+        # the zero operator is an outcome that never occurs: it adds nothing
+        # to either fidelity, and a zero-probability column to the joint
+        # distribution
+        ops = list(preset("amplitude_damping", gamma=0.3).operators)
+        reports = []
+        for family in (ops, [*ops[:at], np.zeros((2, 2)), *ops[at:]]):
+            path = tmp_path / "channel.json"
+            path.write_text(json.dumps(channel_to_dict(kraus_channel(family))))
+            assert channel_from_dict(json.loads(path.read_text())).kraus_count == len(family)
+            out = tmp_path / "report.json"
+            assert main(["analyze", "--channel", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["direct"])
+        plain, padded = reports
+        assert padded["f_e"] == plain["f_e"] and padded["f_ea"] == plain["f_ea"]
+        assert padded["mutual_info"] == pytest.approx(plain["mutual_info"], rel=0, abs=1e-15)
 
     def test_negative_ic_size(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -160,7 +160,6 @@ def optimize_requests(draw):
     argv = ["optimize", f"--preset={name}"]
     argv += [f"--{FLAGS[k]}={v!r}" for k, v in params.items() if k in FLAGS]
     argv.append(f"--seed={params.get('seed', draw(PARAMS['seed']))}")
-    # zero operators are dropped, so the Kraus count comes from the channel
     kk = preset(name, **params).kraus_count
     argv.append(f"--outcomes={draw(st.sampled_from([0, kk, kk + 1, kk + 2]))}")
     argv.append(f"--restarts={draw(st.integers(1, 3))}")

@@ -138,11 +138,11 @@ def test_direct_chain_is_within_rounding_of_the_reference(trial):
 # operators diag(a_k), with a a K x d complex normal matrix whose columns have
 # unit norm) reaches F_ea = 1 at 9 outcomes. It is scaled by sqrt(1 - eps),
 # with sqrt(eps) times a random 2-operator channel appended; at eps = 0 those
-# two operators are zero and kraus_channel drops them. At eps = 0 the
-# mutual information is about 1e-15, an entropy difference of terms near 1,
-# so it rounds to a multiple of their ulps: it reads 1.78e-15 where the
-# reference gives 1.34e-15 (3-member ensemble), and slack_total = beta I / 4,
-# computed from it directly, reads 7.3e-17 against 5.5e-17.
+# two operators are zero, and the channel keeps them. At eps = 0 the
+# mutual information is about 1e-14, an entropy difference of terms near 1,
+# so it rounds to a multiple of their ulps: it reads 1.066e-14 where the
+# reference gives 1.090e-14 (3-member ensemble), and slack_total = beta I / 4,
+# computed from it directly, reads 6.71e-16 against 6.86e-16, 2.2% off.
 ROUNDED_TO_ULPS = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -190,8 +190,8 @@ def test_tight_direct_chain_is_within_rounding_of_the_reference(eps):
 
 # slack_measurement_l1 = (sum_trace_sq - sum_l1_sq) / 4 involves no term near 1
 # and no entropy, so it stays accurate where the chain is tight: its worst
-# relative error over these fixtures is 9.4e-11, at eps = 0. A difference of
-# 1 - sum_l1_sq / 4 and 1 - sum_trace_sq / 4 reads it to 6.7e-4 there, and
+# relative error over these fixtures is 2.3e-11, at eps = 0. A difference of
+# 1 - sum_l1_sq / 4 and 1 - sum_trace_sq / 4 reads it to 8.4e-5 there, and
 # misses 1e-9 at every eps <= 1e-7.
 MEASUREMENT_L1_RTOL = 1e-9
 

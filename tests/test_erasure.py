@@ -70,7 +70,7 @@ class TestEntanglementFidelity:
             ch = preset("random", dim=d, kraus=kk, seed=rng)
             meas = random_measurement(kk + int(rng.integers(0, 2)), kk, rng)
             rho = random_density(d, rng)
-            refined_ch = kraus_channel(refine(ch, meas), drop_zero=False)
+            refined_ch = kraus_channel(refine(ch, meas))
             assert abs(
                 entanglement_fidelity(refined_ch, rho) - entanglement_fidelity(ch, rho)
             ) < 1e-9

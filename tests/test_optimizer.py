@@ -414,6 +414,48 @@ class TestDetectRandomUnitary:
             for (p, u), (q, v) in zip(reused.witness, fresh.witness):
                 assert p == q and np.array_equal(u, v)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    @pytest.mark.parametrize("with_result", [False, True], ids=["no-result", "result"])
+    @pytest.mark.parametrize("name", ["amplitude_damping", "dephasing"])
+    def test_restarts_below_one_are_refused_before_anything_else(
+        self, name, with_result, restarts, search_calls, polish_calls
+    ):
+        # amplitude damping is refused by the unitality gap and dephasing is
+        # not, but neither verdict is reached
+        ch = preset(name)
+        result = optimize_erasure(ch, restarts=2, seed=1) if with_result else None
+        with pytest.raises(ParamOutOfRange, match="restarts"):
+            detect_random_unitary(ch, restarts=restarts, seed=1, result=result)
+        assert search_calls == [] and polish_calls == []
+
+    # False verdicts on random-unitary channels. Each test asserts the true
+    # verdict, so it turns red once the search finds it and the xfail must go.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="restarts 0 and 1 both stall at the W = I saddle (0.8); a third restart finds 1",
+    )
+    def test_dephasing_with_two_restarts_is_random_unitary(self):
+        ch = preset("dephasing", p=0.2)
+        verdict = detect_random_unitary(ch, restarts=2, seed=0)
+        assert verdict.is_random_unitary, verdict.residual
+        assert choi_distance(witness_channel(verdict), ch) < 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the verdict searches K = 3 outcomes; this channel needs up to K^2 = 9",
+    )
+    def test_schur_channel_is_random_unitary(self):
+        # Kraus operators diag(a_k), a a K x d complex normal matrix with
+        # unit-norm columns: unital, so the unitality gap never refuses it
+        a = numerics.ginibre(3, 4, 1)
+        a /= np.linalg.norm(a, axis=0)
+        ch = kraus_channel([np.diag(x) for x in a])
+        verdict = detect_random_unitary(ch)
+        assert verdict.is_random_unitary, verdict.residual
+        assert choi_distance(witness_channel(verdict), ch) < 1e-6
+
 
 class TestUnitalityCertificate:
     """Every mixture of unitaries is unital, so a channel whose unitality gap

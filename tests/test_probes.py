@@ -103,7 +103,7 @@ class TestRefine:
             ch = preset("random", dim=d, kraus=kk, seed=rng)
             m = kk + int(rng.integers(0, 3))
             meas = random_measurement(m, kk, rng)
-            refined_ch = kraus_channel(refine(ch, meas), drop_zero=False)
+            refined_ch = kraus_channel(refine(ch, meas))
             diff = np.abs(choi_matrix(refined_ch) - choi_matrix(ch)).max()
             assert diff < 1e-9
 
