@@ -48,14 +48,18 @@ def _check_entries(entries: int, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A channel as a family of d x d Kraus operators with sum E_k^dag E_k = I.
+    """A channel as a family of d x d Kraus operators with sum E_k^dag E_k = I,
+    built by ``kraus_channel``, which refuses any other family.
 
     ``stack`` holds the operators as one read-only K x d x d array, and
     ``operators`` gives its slices, so no caller can change the channel.
     """
 
-    dim: int
     stack: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[1]
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -69,9 +73,9 @@ class KrausChannel:
 def kraus_channel(operators) -> KrausChannel:
     """Build a channel from an operator family, keeping each operator as given.
 
-    A zero operator stays: it is an outcome that never occurs. Completeness
-    is *not* checked here (see ``validate``): invalid families must be
-    constructible so they can be diagnosed.
+    A zero operator stays: it is an outcome that never occurs. A family that
+    is not complete is refused with NotTracePreserving (see ``validate``), so
+    every channel in the program is one.
     """
     ops = [numerics.as_matrix(e) for e in operators]
     if not ops:
@@ -80,7 +84,9 @@ def kraus_channel(operators) -> KrausChannel:
     for e in ops:
         if e.shape != (d, d):
             raise DimensionMismatch(f"Kraus operators must all be {d} x {d}, got {e.shape}")
-    return KrausChannel(dim=d, stack=numerics._read_only(np.stack(ops)))
+    channel = KrausChannel(stack=numerics._read_only(np.stack(ops)))
+    validate(channel)
+    return channel
 
 
 def validate(channel: KrausChannel) -> None:
@@ -104,12 +110,8 @@ def _check_state(channel: KrausChannel, rho) -> np.ndarray:
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Unnormalized Choi matrix sum_k |E_k>><<E_k| (row-major vectorization)."""
-    d = channel.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for e in channel.operators:
-        v = e.reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
+    v = channel.stack.reshape(channel.kraus_count, -1)
+    return v.T @ v.conj()
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics, optimizer
-from .channels import PRESETS, KrausChannel, preset, validate
+from .channels import PRESETS, KrausChannel, _check_entries, preset
 from .erasure import SLACK_FLOOR, verify_converse, verify_direct
 from .errors import ErasureKitError, ParamOutOfRange
 from .optimizer import detect_random_unitary, optimize_erasure, sample_oracle
@@ -100,7 +100,6 @@ def _resolve_channel(args) -> tuple[KrausChannel, dict]:
         params = {k: v if given[k] is None else given[k] for k, v in defaults.items()}
         channel = preset(args.preset, **params)
         spec = {"preset": args.preset, "params": params}
-    validate(channel)
     return channel, spec
 
 
@@ -155,22 +154,21 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+def _trial_sizes(trial: int, d: int) -> tuple[int, int, int]:
+    """A verify trial's Kraus count, ensemble size and IC ensemble size in dimension d."""
+    return 2 + trial % (d * d - 1), 2 + trial % 5, d * d + trial % 5
+
+
 def _verify_trial(master_seed: int, trial: int, dims: list[int]) -> dict:
     d = dims[trial % len(dims)]
-    kraus_count = 2 + trial % (d * d - 1)
+    kraus_count, members, ic_members = _trial_sizes(trial, d)
     channel = preset("random", dim=d, kraus=kraus_count, seed=[master_seed, trial, 0])
     rho = numerics.random_density(d, [master_seed, trial, 1])
-    members = 2 + trial % 5
     ens = random_ensemble(rho, members, [master_seed, trial, 2])
     meas = random_measurement(kraus_count, kraus_count, [master_seed, trial, 3])
     direct = verify_direct(channel, rho, ens, meas)
-    ic_members = d * d + trial % 5
     converse = verify_converse(
-        channel,
-        rho,
-        meas,
-        members=ic_members,
-        seed=np.random.default_rng([master_seed, trial, 4]),
+        channel, rho, meas, members=ic_members, seed=np.random.default_rng([master_seed, trial, 4])
     )
     rng = np.random.default_rng([master_seed, trial, 5])
     length = 2 + trial % 15
@@ -208,6 +206,10 @@ def cmd_verify(args) -> int:
         dims = []
     if not dims or any(d < 2 for d in dims):
         raise ParamOutOfRange(f"--dims needs integers >= 2, got {args.dims!r}")
+    # a trial's largest array is its IC ensemble (K <= d^2 <= ic), whose size has period 5
+    for i, d in enumerate(dims[: args.trials]):
+        ic = max(_trial_sizes(t, d)[2] for t in range(i, args.trials, len(dims))[:5])
+        _check_entries(ic * d * d, f"ic_ensemble(members={ic}) in dimension {d}")
     rows = [_verify_trial(args.seed, t, dims) for t in range(args.trials)]
 
     config = _config(args, "csv", dims=dims)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import numerics
-from .channels import KrausChannel, _check_state, kraus_channel, validate
+from .channels import KrausChannel, _check_state, kraus_channel
 from .errors import EnsembleMismatch
 from .probes import (
     Ensemble,
@@ -199,7 +199,6 @@ def verify_direct(
     1 - beta I / 4 <= 1 with beta = min_i p(i).
     """
     rho = _check_state(channel, rho)
-    validate(channel)
     meas = _resolve_meas(channel, meas)
     _check_members(channel, ens)
     mismatch = float(np.abs(ens.average - rho).max())
@@ -246,7 +245,6 @@ def verify_converse(
     the same IC ensemble are reported alongside.
     """
     rho = _check_state(channel, rho)
-    validate(channel)
     meas = _resolve_meas(channel, meas)
     if members is None:
         members = numerics.support_rank(rho) ** 2

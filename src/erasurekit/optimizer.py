@@ -74,7 +74,6 @@ from .channels import (
     _check_entries,
     _check_state,
     kraus_channel,
-    validate,
 )
 from .errors import BadOutcomeCount, DimensionMismatch, ParamOutOfRange
 from .probes import OUTCOME_FLOOR, ProbeMeasurement, probe_measurement
@@ -254,8 +253,7 @@ def _ascend(ops, starts, budget, tol):
 
 
 def _problem(channel: KrausChannel, rho):
-    """The checked ``rho``, or I/d when it is None, and the validated channel's E_k rho."""
-    validate(channel)
+    """The checked ``rho``, or I/d when it is None, and the channel's E_k rho."""
     d = channel.dim
     rho = np.eye(d, dtype=complex) / d if rho is None else _check_state(channel, rho)
     return rho, channel.stack @ rho
@@ -421,7 +419,7 @@ def detect_random_unitary(
     their spectrum, and a d x d spectral norm is at most d times the largest
     entry, so ||E'_j E'_j^dag - p(j) I||_2 <= d p(j) residual for each kept
     branch. A dropped branch, p(j) < OUTCOME_FLOOR, has ||E'_j E'_j^dag||_2 <=
-    d p(j); and sum_j p(j) is one within COMPLETENESS_ATOL, since ``validate``
+    d p(j); and sum_j p(j) is one within COMPLETENESS_ATOL, since ``kraus_channel``
     bounds every entry of sum_k E_k^dag E_k - I by it. Summing over the m
     outcomes, any mixing whose residual passes gives
 

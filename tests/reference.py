@@ -116,6 +116,11 @@ def reconstruct(ic: ICEnsemble, observable) -> np.ndarray:
     return out
 
 
+def choi_sum(channel: KrausChannel) -> np.ndarray:
+    """Unnormalized Choi matrix as a sum of outer products of the row-major vectorized E_k."""
+    return sum(np.outer(e.reshape(-1), e.reshape(-1).conj()) for e in channel.operators)
+
+
 def channel_to_dict(channel: KrausChannel) -> dict:
     """The explicit-operator JSON form that ``serialize.channel_from_dict`` reads."""
     return {"dim": channel.dim, "kraus": [encode_matrix(e) for e in channel.operators]}

@@ -152,7 +152,7 @@ def test_shared_outputs_are_read_only():
 
 
 def test_channel_operators_are_slices_of_its_one_stack():
-    ops = [numerics.ginibre(3, 3, [2, k]) for k in range(4)]
+    ops = [e.copy() for e in preset("random", dim=3, kraus=4, seed=2).stack]
     ch = kraus_channel(ops)
     assert ch.kraus_count == 4
     for k, e in enumerate(ch.operators):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from erasurekit import (
     channels_equal,
     choi_distance,
+    choi_matrix,
     kraus_channel,
     preset,
     random_density,
@@ -16,7 +19,7 @@ from erasurekit.errors import (
     ParamOutOfRange,
     UnknownPreset,
 )
-from reference import apply, complementary_apply, dilation, dual_apply, dual_effect
+from reference import apply, choi_sum, complementary_apply, dilation, dual_apply, dual_effect
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -55,6 +58,24 @@ class TestValidate:
         assert ch.kraus_count == 3
         assert np.array_equal(ch.stack, np.stack([P0, zero, P1]))
         validate(ch)
+
+
+class TestCompleteByConstruction:
+    def test_incomplete_family_is_refused(self):
+        with pytest.raises(NotTracePreserving) as raised:
+            kraus_channel([2 * np.eye(2)])
+        assert str(raised.value) == "Kraus completeness violated: max deviation 3.000e+00"
+
+    def test_tolerance_boundary(self):
+        # deviations 9e-10 and 3e-9 on either side of COMPLETENESS_ATOL
+        assert kraus_channel([np.sqrt((1 + 9e-10) / 2) * np.eye(2)] * 2).kraus_count == 2
+        with pytest.raises(NotTracePreserving):
+            kraus_channel([np.sqrt((1 + 3e-9) / 2) * np.eye(2)] * 2)
+
+    def test_stack_is_the_one_field(self):
+        ch = preset("random", dim=3, kraus=2, seed=1)
+        assert [f.name for f in dataclasses.fields(ch)] == ["stack"]
+        assert ch.dim == ch.stack.shape[1] == 3
 
 
 class TestApply:
@@ -311,6 +332,11 @@ class TestChannelSuite:
         assert channels_equal(preset("dephasing", p=0.5), flip)
         assert not channels_equal(flip, kraus_channel([np.eye(2)]))
         assert choi_distance(flip, flip) < 1e-15
+
+    def test_choi_matrix_is_the_sum_of_outer_products(self):
+        # one contraction over the stack, so entries may move in their last ulps
+        for ch in (preset("amplitude_damping", gamma=0.3), preset("random", dim=3, kraus=4)):
+            assert np.abs(choi_matrix(ch) - choi_sum(ch)).max() < 1e-14
 
     def test_choi_distance_needs_one_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -701,6 +701,22 @@ class TestSizeCaps:
         assert "ParamOutOfRange" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials, dims", [("1", "1000"), ("2", "2,65"), ("2", "64")])
+    def test_oversized_verify_fails_before_any_trial(self, tmp_path, capsys, trials, dims):
+        out = tmp_path / "verify.csv"
+        argv = ["verify", "--trials", trials, "--dims", dims, "--out", str(out)]
+        assert main(argv) == 1
+        assert "ParamOutOfRange" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
+        # d = 64 at trial 0 has a 4096-member IC ensemble: 2^24 entries exactly
+        columns = cli.VERIFY_COLUMNS.split(",")
+        monkeypatch.setattr(cli, "_verify_trial", lambda *a: dict.fromkeys(columns, 0.0))
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--trials", "1", "--dims", "64", "--out", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("flag", ["--members", "--ic-size"])
     def test_oversized_ensemble_fails_fast(self, tmp_path, capsys, flag):
         # a given ensemble file keeps the random ensemble (and its draw) out

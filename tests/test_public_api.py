@@ -1,10 +1,13 @@
-"""The README's "Public API" list is the package's public surface, and its
-"Presets" list is the preset table."""
+"""The README's "Public API" list is the package's public surface, its
+"Presets" list is the preset table, and its quickstart runs as its comments say."""
 
+import ast
 import inspect
 import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 import erasurekit
 from erasurekit.channels import PRESETS
@@ -65,3 +68,36 @@ def test_readme_lists_each_preset_with_its_defaults_and_flags():
             value = 3 if isinstance(default, int) else 0.25
             args = build_parser().parse_args(["analyze", "--preset", name, f"--{flag}", str(value)])
             assert _resolve_channel(args)[1]["params"][k] == value, (name, flag)
+
+
+def _quickstart_values() -> tuple[dict[str, object], dict[str, object]]:
+    """Run the "Library quickstart" block: its namespace, and each bare expression's value
+    keyed by its source."""
+    code = _section("Library quickstart").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            source = ast.get_source_segment(code, node.value)
+            values[source] = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    return namespace, values
+
+
+def test_readme_quickstart_gives_the_values_its_comments_state():
+    namespace, values = _quickstart_values()
+    assert abs(values["ek.entanglement_fidelity(channel, rho)"] - 0.5) < 1e-12
+    assert abs(values["ek.assisted_fidelity(channel, rho)"] - 0.5) < 1e-12
+    assert abs(values["ek.assisted_fidelity(channel, rho, meas)"] - 1.0) < 1e-12
+    assert values['ek.channels_equal(corrected, ek.preset("identity"))'] is True
+
+    verdict = namespace["verdict"]
+    assert verdict.is_random_unitary and len(verdict.witness) == 2
+    found = set()
+    for weight, u in verdict.witness:
+        assert abs(weight - 0.5) < 1e-12
+        # u is I or Z up to a phase: |Tr P^dag u| = 2 for exactly that P
+        for name, p in (("I", np.eye(2)), ("Z", np.diag([1.0, -1.0]))):
+            if abs(abs(np.trace(p.conj().T @ u)) - 2) < 1e-9:
+                found.add(name)
+    assert found == {"I", "Z"}
