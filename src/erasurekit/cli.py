@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
     )
     config = _config(args, "json", channel=channel_spec, ensemble=ensemble_spec, ic_size=ic_size)
     payload = {"config": config, "direct": direct.to_dict(), "converse": converse.to_dict()}
-    Path(args.out).write_text(dumps_stable(payload), encoding="utf-8")
+    Path(args.out).write_text(dumps_compact(payload) + "\n", encoding="utf-8")
     worst = min(direct.worst_slack(), converse.worst_slack())
     print(f"wrote {args.out} (worst slack {worst:.3e})")
     return EXIT_OK if worst >= SLACK_FLOOR else EXIT_VERIFICATION
@@ -255,7 +255,7 @@ def cmd_optimize(args) -> int:
     # drawn after the search, so every refusal comes before it; 0 means no oracle
     if args.oracle:
         payload["result"]["oracle_value"] = sample_oracle(channel, rho, args.oracle, args.seed)
-    Path(args.out).write_text(dumps_stable(payload), encoding="utf-8")
+    Path(args.out).write_text(dumps_compact(payload) + "\n", encoding="utf-8")
     if args.trace_csv:
         _write_csv(args.trace_csv, None, ("restart", "iteration", "value"), result.trace)
     print(

@@ -1,9 +1,9 @@
 """JSON and CSV encodings shared by the CLI and the file schemas.
 
 Complex numbers serialize as [re, im] pairs and matrices as lists of rows,
-chosen for lossless round-trips of doubles. CSV uses '.' decimals, ','
-separators, and 17 significant digits so rows round-trip exactly; JSON output
-is key-sorted, making repeated runs byte-identical.
+for lossless round-trips of doubles; CSV rows use '.' decimals, ',' separators
+and 17 significant digits for the same reason. JSON is key-sorted, so reruns
+are byte-identical: files are one compact line, stdout summaries indented.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def result_to_dict(result: OptimizationResult) -> dict:
         "best_mixing": encode_matrix(result.best_mixing.mixing),
         "best_value": result.best_value,
         "converged": result.converged,
-        "trace": [[r, i, v] for r, i, v in result.trace],
+        "trace": result.trace,
     }
 
 
@@ -116,7 +116,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ErasureKitError(f"malformed JSON in {path}: {exc}") from exc
 
 

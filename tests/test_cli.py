@@ -8,11 +8,20 @@ from erasurekit.cli import main
 from erasurekit.serialize import (
     channel_from_dict,
     decode_matrix,
+    dumps_compact,
+    dumps_stable,
     encode_matrix,
     ensemble_from_dict,
     measurement_from_dict,
 )
-from erasurekit import hadamard_measurement, kraus_channel, numerics, preset, random_ensemble
+from erasurekit import (
+    hadamard_measurement,
+    kraus_channel,
+    numerics,
+    optimize_erasure,
+    preset,
+    random_ensemble,
+)
 from reference import branch_residual, channel_to_dict
 
 
@@ -206,11 +215,22 @@ class TestAnalyze:
         assert code == 1
         assert "NotTracePreserving" in capsys.readouterr().err
 
-    def test_malformed_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--channel", "--state", "--ensemble", "--mixing"])
+    @pytest.mark.parametrize(
+        "data",
+        [b"{not json", b'\xff\xfe{"kraus": []}', b"[" * 200_000 + b"]" * 200_000],
+        ids=["syntax", "not-utf8", "nested-past-the-recursion-limit"],
+    )
+    def test_malformed_json(self, tmp_path, capsys, flag, data):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["analyze", "--channel", str(bad), "--out", str(tmp_path / "r.json")])
-        assert code == 1
+        bad.write_bytes(data)
+        out = tmp_path / "r.json"
+        source = [] if flag == "--channel" else ["--preset", "dephasing"]
+        assert main(["analyze", *source, flag, str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ErasureKitError: malformed JSON in {bad}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload",
@@ -409,6 +429,38 @@ def test_dispatch_reads_the_handler_when_main_runs(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "amplitude_damping", "--param", "0.3"],
+        ["analyze", "--preset", "dephasing", "--mixing", "hadamard", "--members", "3"],
+        ["optimize", "--preset", "eraser_cnot"],
+        ["optimize", "--preset", "amplitude_damping", "--param", "0.5", "--oracle", "2000"],
+        ["optimize", "--preset", "random", "--dim", "3", "--kraus", "3", "--outcomes", "4",
+         "--restarts", "3"],
+    ],
+    ids=["analyze", "analyze-hadamard", "optimize", "optimize-oracle", "optimize-outcomes"],
+)
+def test_json_files_are_one_compact_key_sorted_line(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == dumps_compact(json.loads(text)) + "\n"
+    assert text.count("\n") == 1
+
+
+def test_optimize_file_holds_the_search_trace_bit_for_bit(tmp_path):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--preset", "random", "--dim", "2", "--kraus", "3",
+                 "--restarts", "4", "--seed", "11", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())["result"]["trace"]
+    channel = preset("random", dim=2, kraus=3, seed=11)
+    result = optimize_erasure(channel, np.eye(2) / 2, 3, restarts=4, seed=11)
+    assert len(written) == len(result.trace)
+    for row, (r, i, v) in zip(written, result.trace):
+        assert row[:2] == [r, i] and row[2].hex() == float(v).hex()
+
+
 class TestScenario:
     def test_eraser_curve_csv(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -478,7 +530,10 @@ class TestVerify:
         out = tmp_path / "verify.csv"
         code = main(["verify", "--trials", "6", "--seed", "1", "--out", str(out)])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        summary = json.loads(stdout)
+        # the summary is for people to read, so it stays indented
+        assert stdout == dumps_stable(summary)
         assert summary["pass"] is True
         assert summary["worst_slack"] >= -1e-9
         lines = out.read_text().splitlines()
