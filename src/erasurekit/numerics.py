@@ -23,10 +23,10 @@ x86 host with OpenBLAS, a stacked 2 x 2 SVD takes about 15 us per call plus
 4 us per matrix, the closed-form polar factor about 30 us per call plus
 under 0.5 us per matrix. ``_trace_norms`` (``trace_norm``'s kernel) and
 ``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary
-polar factor without an SVD, and ``_haar`` writes out the QR of a 2 x 2
-Ginibre draw. Each selects its path by shape: every other shape takes LAPACK,
-so its results do not change by a bit; the closed forms agree with LAPACK to
-a few ulps.
+polar factor without an SVD, and ``_orthonormalize`` writes out the QR of
+a 2 x 2 Ginibre draw. Each selects its path by shape: every other shape
+takes LAPACK, so its results do not change by a bit; the closed forms agree
+with LAPACK to a few ulps.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ RANK_CUTOFF = 1e-10
 
 # A density matrix's trace must be one within this.
 TRACE_ATOL = 1e-9
+
+# An accepted state whose trace is further than this from one is renormalized.
+TRACE_ROUNDING = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -219,15 +222,21 @@ def _polar_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensure_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD within noise, unit trace within ``TRACE_ATOL``."""
+    """Validate a density matrix: Hermitian, PSD within noise, unit trace within ``TRACE_ATOL``.
+
+    A state with an eigenvalue clamped to zero, or a trace off one by more than
+    TRACE_ROUNDING, is returned as its projection V diag(w / sum w) V^dag.
+    """
     rho = as_matrix(rho)
     try:
-        psd_eigh(rho)
+        w, v = psd_eigh(rho)
     except NotPSD as exc:
         raise NotDensity(str(exc)) from exc
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise NotDensity(f"trace is {tr:.12g}, expected 1 within {TRACE_ATOL:.0e}")
+    if w[0] == 0 or abs(tr - 1.0) > TRACE_ROUNDING:  # w ascends, so w[0] is the least
+        return hermitize((v * (w / w.sum())) @ dagger(v))
     return rho
 
 
@@ -321,17 +330,20 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _haar(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Haar isometries of the last two axes of ``shape``, one per leading index.
+    """Haar isometries of the last two axes of ``shape``: orthonormalized Ginibre draws."""
+    return _orthonormalize(_ginibre(shape, rng))
 
-    The Q of complex Ginibre matrices G = QR with R's diagonal real and
-    positive, which gives the exact Haar distribution (Mezzadri, Notices AMS
-    54, 592 (2007)). 2 x 2 draws write that Q out: q1 = g1 / |g1|, and q2 is
-    the unit vector w orthogonal to q1 times the phase z / |z| of
-    z = w^dag g2. Every other shape takes LAPACK's QR and normalizes the
-    phases of R's diagonal.
+
+def _orthonormalize(g: np.ndarray) -> np.ndarray:
+    """The Q of each G = QR over the last two axes of ``g``, R's diagonal real and positive.
+
+    On complex Ginibre matrices this is the exact Haar distribution (Mezzadri,
+    Notices AMS 54, 592 (2007)). 2 x 2 matrices write that Q out: q1 = g1 / |g1|,
+    and q2 is the unit vector w orthogonal to q1 times the phase z / |z| of
+    z = w^dag g2. Every other shape takes LAPACK's QR, per matrix of a stack,
+    and normalizes the phases of R's diagonal.
     """
-    g = _ginibre(shape, rng)
-    if shape[-2:] == (2, 2):
+    if g.shape[-2:] == (2, 2):
         q = np.empty_like(g)
         q[..., 0] = _unit(g[..., 0])
         # w = (-b*, a*) for q1 = (a, b); w z is g2 less its component along

@@ -58,7 +58,8 @@ teleport sweep take their problems, E_k rho at a checked state, from ``_problem`
 
 The do-nothing mixing W = I is always restart 0. Restart 1 starts about 1e-6
 off it at every m >= K, at the polar factor of (I_m + 1e-6 S) I_{m x K} with S
-fixed and antisymmetric. The remaining restarts are seeded Haar isometries.
+fixed and antisymmetric. Restart r > 1 draws a Ginibre matrix from
+default_rng([seed, r]), and a group orthonormalizes its draws in one stacked call.
 """
 
 from __future__ import annotations
@@ -268,13 +269,16 @@ def _perturbed_identity_start(m: int, kk: int) -> np.ndarray:
     return (x @ yh).astype(complex)
 
 
-def _start(r: int, m: int, kk: int, seed: int) -> np.ndarray:
-    """Restart r's first mixing: W = I, then the perturbed identity, then seeded Haar isometries."""
-    if r == 0:
-        return np.eye(m, kk, dtype=complex)
-    if r == 1:
-        return _perturbed_identity_start(m, kk)
-    return numerics.haar_isometry(m, kk, np.random.default_rng([seed, r]))
+def _starts(restarts: range, m: int, kk: int, seed: int) -> list[np.ndarray]:
+    """First mixings of a run of restarts: W = I, the perturbed identity, then the Haar
+    isometries of Ginibre draws from default_rng([seed, r]), in one stacked call."""
+    starts = [
+        _perturbed_identity_start(m, kk) if r else np.eye(m, kk, dtype=complex)
+        for r in restarts
+        if r < 2
+    ]
+    g = [numerics._ginibre((m, kk), np.random.default_rng([seed, r])) for r in restarts if r > 1]
+    return starts + list(numerics._orthonormalize(np.stack(g))) if g else starts
 
 
 def optimize_erasure(
@@ -325,8 +329,9 @@ def _search(ops, m, restarts, max_iters, tol, seed):
     beyond one group's. Ascents run in lockstep groups of whole problems with
     all their restarts, or of one problem with a run of its restarts, within
     GROUP_ENTRIES; restart r's first point depends only on (r, m, K, seed), so
-    it is drawn once per group and shared by the group's problems. An ascent
-    stacks m * max(K, d^2) complex entries; above the size cap, nothing runs.
+    it is drawn once per group and shared by the group's problems; its Haar
+    starts are drawn per restart and orthonormalized in one stacked call. An
+    ascent stacks m * max(K, d^2) complex entries; above the size cap, nothing runs.
     """
     _, kk, d, _ = ops.shape
     entries = m * max(kk, d * d)
@@ -339,7 +344,7 @@ def _search(ops, m, restarts, max_iters, tol, seed):
         best = [[None, -np.inf, False, []] for _ in batch]
         for first in range(0, restarts, chunk):
             indices = range(first, min(first + chunk, restarts))
-            starts = [_start(r, m, kk, seed) for r in indices]
+            starts = _starts(indices, m, kk, seed)
             ascents = iter(_ascend(batch, starts, max_iters, tol))
             for entry in best:
                 for r, a in zip(indices, ascents):

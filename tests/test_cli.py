@@ -16,6 +16,7 @@ from erasurekit.serialize import (
 )
 from erasurekit import (
     hadamard_measurement,
+    haar_isometry,
     kraus_channel,
     numerics,
     optimize_erasure,
@@ -344,6 +345,26 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out.read_text())
         assert 0 <= payload["direct"]["f_ea"] <= 1 + 1e-9
+
+    # spectrum (1 + n, -n) in a seeded Haar basis: the boundary accepts the
+    # eigenvalue -n, above -PSD_VIOLATION, and both chains then read the
+    # state's projection; at n = 3e-10 they read the matrix as given and
+    # failed the floor, at n = 2e-9 the ensemble check refused them
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["depolarizing", "amplitude_damping"])
+    @pytest.mark.parametrize("n", [3e-10, 2e-9])
+    def test_a_state_the_boundary_accepts_keeps_every_slack(self, tmp_path, n, name, seed):
+        u = haar_isometry(2, 2, seed)
+        state = tmp_path / "state.json"
+        rho = numerics.hermitize((u * [1 + n, -n]) @ u.conj().T)
+        state.write_text(json.dumps({"matrix": encode_matrix(rho)}))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--preset", name, "--state", str(state), "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        slacks = [v for part in ("direct", "converse") for k, v in payload[part].items()
+                  if k.startswith("slack")]
+        assert len(slacks) == 9 and min(slacks) >= -1e-9
 
     def test_ensemble_file(self, tmp_path):
         from erasurekit.serialize import encode_matrix
@@ -726,7 +747,7 @@ class TestSizeCaps:
 
         monkeypatch.setattr(numerics, "ginibre", refuse)
         monkeypatch.setattr(numerics, "_haar", refuse)
-        monkeypatch.setattr("erasurekit.optimizer._start", refuse)
+        monkeypatch.setattr("erasurekit.optimizer._starts", refuse)
         # the one draw both random_ensemble and ic_ensemble make
         monkeypatch.setattr("erasurekit.probes._complex_normal", refuse)
 

@@ -13,6 +13,8 @@ unitaries at its best mixing, where every slack shrinks toward zero with
 ``eps``, and check each slack to a relative tolerance as well.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -162,6 +164,8 @@ SLACKS = QUANTITIES[3:]
 SLACK_RTOL = 1e-2
 
 
+# both tests below read the same fixtures and references, so each is built once
+@functools.cache
 def _near_perfect(eps):
     """The channel at ``eps``, the state I/4, and its K^2-outcome best mixing."""
     a = ginibre(3, 4, 1)
@@ -173,14 +177,22 @@ def _near_perfect(eps):
     return channel, rho, best.best_mixing
 
 
+@functools.cache
+def _near_perfect_reference(eps, k):
+    """Ensemble k of the fixture at ``eps`` and its 50-digit reference."""
+    channel, rho, meas = _near_perfect(eps)
+    ens = random_ensemble(rho, 2 + k, [2006, 26, k])
+    with mp.workdps(50):
+        return ens, _reference(channel, rho, ens, meas)
+
+
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_tight_direct_chain_is_within_rounding_of_the_reference(eps):
     channel, rho, meas = _near_perfect(eps)
     for k in range(5):
-        ens = random_ensemble(rho, 2 + k, [2006, 26, k])
+        ens, reference = _near_perfect_reference(eps, k)
         report = verify_direct(channel, rho, ens, meas)
         with mp.workdps(50):
-            reference = _reference(channel, rho, ens, meas)
             errors = {q: abs(mp.mpf(getattr(report, q)) - reference[q]) for q in QUANTITIES}
             relative = {q: float(errors[q] / abs(reference[q])) for q in SLACKS}
         assert max(map(float, errors.values())) <= TOLERANCE, (k, errors)
@@ -200,9 +212,9 @@ MEASUREMENT_L1_RTOL = 1e-9
 def test_tight_measurement_l1_slack_keeps_its_relative_accuracy(eps):
     channel, rho, meas = _near_perfect(eps)
     for k in range(5):
-        ens = random_ensemble(rho, 2 + k, [2006, 26, k])
+        ens, reference = _near_perfect_reference(eps, k)
         slack = verify_direct(channel, rho, ens, meas).slack_measurement_l1
+        exact = reference["slack_measurement_l1"]
         with mp.workdps(50):
-            reference = _reference(channel, rho, ens, meas)["slack_measurement_l1"]
-            relative = float(abs(mp.mpf(slack) - reference) / abs(reference))
+            relative = float(abs(mp.mpf(slack) - exact) / abs(exact))
         assert relative <= MEASUREMENT_L1_RTOL, (k, relative)

@@ -33,7 +33,7 @@ from erasurekit.optimizer import (
     _begin,
     _evaluate,
     _round,
-    _start,
+    _starts,
 )
 from reference import branch_residual, certificate_bound, unitality_gap
 
@@ -635,8 +635,7 @@ def _plain_search(ch, restarts, seed):
     rho = np.eye(ch.dim, dtype=complex) / ch.dim
     kk = ch.kraus_count
     trace, best_value, converged = [], -np.inf, False
-    for r in range(restarts):
-        w0 = _start(r, kk, kk, seed)
+    for r, w0 in enumerate(_starts(range(restarts), kk, kk, seed)):
         _, value, done = _reference_ascend(ops, rho, w0, DEFAULT_MAX_ITERS, DEFAULT_TOL, r, trace)
         if value > best_value + RESTART_TIE_ATOL:
             best_value, converged = value, done
@@ -823,7 +822,7 @@ class TestStopRule:
         for seed, (ch, max_iters, tol) in enumerate(_lockstep_cases()):
             ops = ch.stack @ (np.eye(ch.dim, dtype=complex) / ch.dim)
             kk = ch.kraus_count
-            starts = [_start(r, kk, kk, seed) for r in range(4)]
+            starts = _starts(range(4), kk, kk, seed)
             for a in _ascend([ops], starts, max_iters, tol):
                 values = [value for _, value in a.rows]
                 gains = [b - v for v, b in zip(values, values[1:])]
@@ -855,8 +854,8 @@ class TestStopRule:
     @pytest.mark.parametrize("extra", [0, 1], ids=["m=K", "m=K+1"])
     def test_restart_one_starts_off_the_identity(self, extra):
         for kk in range(2, 17):
-            w = _start(1, kk + extra, kk, 0)
-            assert np.abs(w - _start(0, kk + extra, kk, 0)).max() >= 1e-7
+            identity, w = _starts(range(2), kk + extra, kk, 0)
+            assert np.abs(w - identity).max() >= 1e-7
             assert np.abs(w.conj().T @ w - np.eye(kk)).max() <= 1e-14
 
 
@@ -877,7 +876,7 @@ class TestLockstep:
         # its start searched alone on its channel, bit for bit
         channels = [preset("random", dim=3, kraus=4, seed=seed) for seed in (5, 9)[:problems]]
         ops = np.stack([ch.stack @ (np.eye(3, dtype=complex) / 3) for ch in channels])
-        starts = [_start(r, 4, 4, 0) for r in range(4)]
+        starts = _starts(range(4), 4, 4, 0)
         ascents = _begin(ops, starts)
         alone = [(_begin(own, [w])[0], own) for own in ops[:, None] for w in starts]
 
@@ -944,3 +943,46 @@ class TestLockstep:
         assert _bits(grouped) == _bits(reference)
         assert max(sizes) <= 3 * entries
         assert max(sizes) > entries  # some call stacked more than one restart
+
+
+class TestStarts:
+    def test_a_search_orthonormalizes_its_haar_starts_in_one_stacked_call(self, monkeypatch):
+        shapes, real = [], numerics._orthonormalize
+
+        def spy(g):
+            shapes.append(g.shape)
+            return real(g)
+
+        monkeypatch.setattr(numerics, "_orthonormalize", spy)
+        optimize_erasure(preset("depolarizing"), restarts=32)
+        assert shapes == [(30, 4, 4)]  # restarts 2-31 of one group
+
+    @pytest.mark.parametrize("group", [32, 5], ids=["one-group", "groups-of-5"])
+    @pytest.mark.parametrize("m, kk", [(3, 3), (4, 4), (6, 4), (16, 16), (25, 5), (2, 2)])
+    def test_each_haar_start_is_the_draw_of_its_own_seed(self, m, kk, group, monkeypatch):
+        # restart r >= 2 starts from the Haar isometry of default_rng([seed, r]),
+        # whatever group it falls in. A lone 2 x 2 draw runs the closed form in
+        # numpy scalar arithmetic and a stacked one in array arithmetic, which
+        # can differ in the last bit, so at m = K = 2 the reference is the draw
+        # as a stack of one
+        seed, searched = 7, []
+        real = optimizer._ascend
+
+        def recording_ascend(ops, starts, budget, tol):
+            searched.extend(starts)
+            return real(ops, starts, budget, tol)
+
+        monkeypatch.setattr(optimizer, "_ascend", recording_ascend)
+        monkeypatch.setattr(optimizer, "GROUP_ENTRIES", group * m * max(kk, 4))
+        ch = preset("random", dim=2, kraus=kk, seed=kk)
+        optimize_erasure(ch, outcomes=m, restarts=32, max_iters=0, seed=seed)
+        assert len(searched) == 32
+        assert np.array_equal(searched[0], np.eye(m, kk))
+        assert np.array_equal(searched[1], optimizer._perturbed_identity_start(m, kk))
+        for r, w in enumerate(searched[2:], start=2):
+            rng = np.random.default_rng([seed, r])
+            if (m, kk) == (2, 2):
+                expected = numerics._haar((1, 2, 2), rng)[0]
+            else:
+                expected = haar_isometry(m, kk, rng)
+            assert np.array_equal(w, expected), r

@@ -164,17 +164,17 @@ class TestTeleportLockstep:
 
     def test_problems_share_a_group_and_its_starts(self, monkeypatch):
         # 3 restarts on 7 grid points: a group of 8 ascents holds 2 whole
-        # points, so each group draws its one Haar start once
-        draws, real_start = [], optimizer._start
+        # points, so each group draws its starts, one Haar start among them, once
+        draws, real_starts = [], optimizer._starts
 
-        def recording_start(r, m, kk, seed):
-            draws.append(r)
-            return real_start(r, m, kk, seed)
+        def recording_starts(restarts, m, kk, seed):
+            draws.append(list(restarts))
+            return real_starts(restarts, m, kk, seed)
 
-        monkeypatch.setattr(optimizer, "_start", recording_start)
+        monkeypatch.setattr(optimizer, "_starts", recording_starts)
         monkeypatch.setattr(optimizer, "GROUP_ENTRIES", 8 * 16)
         rows = teleport_curve(points=7, seed=4, restarts=3)
-        assert draws == [0, 1, 2] * 4
+        assert draws == [[0, 1, 2]] * 4
         expected = _one_search_per_point(7, 4, 3)
         assert [row[2].hex() for row in rows] == [value.hex() for value in expected]
 

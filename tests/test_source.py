@@ -1,4 +1,5 @@
-"""Source hygiene checked with the stdlib alone: every import in a module is used."""
+"""Source hygiene checked with the stdlib alone: every import in a module is used,
+and every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,31 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private (single leading underscore) functions, classes and constants a module defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    # a use is a load of the bare name or an attribute of that name
+    # (``numerics._haar``); a definition or an import alone is not one
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = [(module, name) for module in trees for name in _private_definitions(trees[module])]
+    assert defined
+    assert sorted(f"{module}: {name}" for module, name in defined if name not in used) == []

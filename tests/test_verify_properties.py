@@ -88,3 +88,36 @@ def test_a_second_eigenvalue_at_the_rank_cutoff_keeps_both_chains(name, eps):
         rho = _rotated(np.array([1 - eps, eps]), [seed, 0])
         verify_direct(channel, rho, random_ensemble(rho, 3, [seed, 1])).assert_ok()
         verify_converse(channel, rho, seed=[seed, 2]).assert_ok()
+
+
+@st.composite
+def accepted_off_cone_configurations(draw):
+    # 1 to d - 1 eigenvalue dips in [-PSD_VIOLATION, 0), kept 1e-6 relative
+    # inside the refusal so that eigh's rounding cannot push one past it, and
+    # a trace off one by up to half of TRACE_ATOL: a state ensure_density
+    # accepts only by its tolerances
+    d = draw(st.integers(2, 6))
+    limit = numerics.PSD_VIOLATION * (1 - 1e-6)
+    dip = st.floats(0, limit, exclude_min=True)
+    dips = -np.array(draw(st.lists(dip, min_size=1, max_size=d - 1)))
+    count = d - dips.size
+    large = np.array(draw(st.lists(st.floats(0.1, 1), min_size=count, max_size=count)))
+    trace = 1 + draw(st.floats(-0.5, 0.5)) * numerics.TRACE_ATOL
+    return {
+        "spectrum": np.concatenate([large / large.sum() * (trace - dips.sum()), dips]),
+        "kraus": draw(st.integers(2, d * d)),
+        "members": draw(st.integers(2, 6)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=accepted_off_cone_configurations())
+def test_a_state_accepted_off_the_cone_keeps_every_slack_above_the_floor(cfg):
+    spectrum, kk, seed = cfg["spectrum"], cfg["kraus"], cfg["seed"]
+    rho = _rotated(spectrum, [seed, 0])
+    channel = preset("random", dim=len(spectrum), kraus=kk, seed=[seed, 1])
+    meas = random_measurement(kk, kk, [seed, 3])
+    ens = random_ensemble(rho, cfg["members"], [seed, 2])
+    verify_direct(channel, rho, ens, meas).assert_ok()
+    verify_converse(channel, rho, meas, seed=[seed, 4]).assert_ok()
