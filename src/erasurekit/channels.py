@@ -73,9 +73,11 @@ class KrausChannel:
 def kraus_channel(operators) -> KrausChannel:
     """Build a channel from an operator family, keeping each operator as given.
 
-    A zero operator stays: it is an outcome that never occurs. A family that
-    is not complete is refused with NotTracePreserving (see ``validate``), so
-    every channel in the program is one.
+    A zero operator stays: it is an outcome that never occurs. A family
+    off complete (max |M - I|, M = sum_k E_k^dag E_k) by more than 1e-9 is
+    refused with NotTracePreserving, so every channel in the program is one.
+    The one exception to keeping the family: a family accepted by that
+    tolerance alone, off by more than numerics.TRACE_ROUNDING, becomes E_k M^(-1/2).
     """
     ops = [numerics.as_matrix(e) for e in operators]
     if not ops:
@@ -84,18 +86,20 @@ def kraus_channel(operators) -> KrausChannel:
     for e in ops:
         if e.shape != (d, d):
             raise DimensionMismatch(f"Kraus operators must all be {d} x {d}, got {e.shape}")
-    channel = KrausChannel(stack=numerics._read_only(np.stack(ops)))
-    validate(channel)
-    return channel
+    stack = np.stack(ops)
+    total = np.einsum("kba,kbc->ac", stack.conj(), stack)
+    deviation = float(np.abs(total - np.eye(d)).max())
+    if deviation > COMPLETENESS_ATOL:
+        raise NotTracePreserving(f"Kraus completeness violated: max deviation {deviation:.3e}")
+    if deviation > numerics.TRACE_ROUNDING:
+        w, v = np.linalg.eigh(total)
+        stack = stack @ ((v * w**-0.5) @ numerics.dagger(v))
+    return KrausChannel(stack=numerics._read_only(stack))
 
 
 def validate(channel: KrausChannel) -> None:
     """Raise NotTracePreserving unless sum_k E_k^dag E_k = I within 1e-9."""
-    ops = channel.stack
-    total = np.einsum("kba,kbc->ac", ops.conj(), ops)
-    deviation = float(np.abs(total - np.eye(channel.dim)).max())
-    if deviation > COMPLETENESS_ATOL:
-        raise NotTracePreserving(f"Kraus completeness violated: max deviation {deviation:.3e}")
+    kraus_channel(channel.stack)
 
 
 def _check_state(channel: KrausChannel, rho) -> np.ndarray:

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--oracle", type=int, default=0, help="Haar samples for the oracle (0 = off)")
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--out", default="optimize.json")
-    optimize.add_argument("--trace-csv", default=None, help="also stream the iteration trace")
+    optimize.add_argument("--trace-csv", default=None, help="also write the iteration trace")
 
     verify = sub.add_parser("verify", help="randomized verification sweep")
     verify.add_argument("--trials", type=int, default=100)

@@ -1,9 +1,11 @@
 """Dense complex matrix decompositions, distances, and entropy primitives.
 
 All functions operate on plain numpy arrays and are pure: randomness flows
-only through explicit seeds, and everything is safe to call from any number
-of threads. Entropic quantities use the natural logarithm (nats) throughout;
-the constants in the Pinsker-type bounds hold as written only in that
+only through explicit seeds into the package's one complex Gaussian draw,
+``_complex_normal`` (item by item, all real parts and then all imaginary
+parts), and everything is safe to call from any number of threads.
+Entropic quantities use the natural logarithm (nats) throughout; the
+constants in the Pinsker-type bounds hold as written only in that
 convention.
 
 One bounded cache sits under ``psd_eigh``, because one verify trial
@@ -24,9 +26,9 @@ x86 host with OpenBLAS, a stacked 2 x 2 SVD takes about 15 us per call plus
 under 0.5 us per matrix. ``_trace_norms`` (``trace_norm``'s kernel) and
 ``_polar_factors`` give each 2 x 2 matrix's trace norm and unitary
 polar factor without an SVD, and ``_orthonormalize`` writes out the QR of
-a 2 x 2 Ginibre draw. Each selects its path by shape: every other shape
-takes LAPACK, so its results do not change by a bit; the closed forms agree
-with LAPACK to a few ulps.
+a 2 x 2 Ginibre draw. Each selects its path by shape, and a lone matrix gets
+the bits it gets in a stack; every other shape takes LAPACK, and the closed
+forms agree with LAPACK to a few ulps.
 """
 
 from __future__ import annotations
@@ -88,10 +90,16 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _complex_normal(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``count`` complex Gaussian arrays of ``shape``: item by item, all real parts and then
+    all imaginary parts, so a seeded item does not depend on how many follow it."""
+    x = rng.normal(size=(count, 2, *shape))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    # all real parts are drawn before all imaginary parts, so a seeded draw
-    # depends on the whole ``shape``
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+    # one item of ``shape``, so a seeded draw depends on the whole ``shape``
+    return _complex_normal(rng, 1, shape)[0] / np.sqrt(2)
 
 
 def ginibre(rows: int, cols: int, seed) -> np.ndarray:
@@ -341,8 +349,11 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
     Notices AMS 54, 592 (2007)). 2 x 2 matrices write that Q out: q1 = g1 / |g1|,
     and q2 is the unit vector w orthogonal to q1 times the phase z / |z| of
     z = w^dag g2. Every other shape takes LAPACK's QR, per matrix of a stack,
-    and normalizes the phases of R's diagonal.
+    and normalizes the phases of R's diagonal. A lone matrix is a stack of
+    one, so it gets the same bits as at any position in a stack.
     """
+    if g.ndim == 2:
+        return _orthonormalize(g[None])[0]
     if g.shape[-2:] == (2, 2):
         q = np.empty_like(g)
         q[..., 0] = _unit(g[..., 0])

@@ -154,17 +154,6 @@ def ensemble(members) -> Ensemble:
     return ens
 
 
-def _complex_normal(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
-    """``count`` complex Gaussian arrays of ``shape`` (real part + 1j * imaginary part).
-
-    One call to the generator, drawing in the order of ``count`` sequential
-    pairs of ``rng.normal(size=shape)`` calls, so seeded draws do not depend
-    on the stacking.
-    """
-    x = rng.normal(size=(count, 2, *shape))
-    return x[:, 0] + 1j * x[:, 1]
-
-
 def random_ensemble(rho, members: int, seed) -> Ensemble:
     """Seeded random decomposition of ``rho`` with all weights >= ENSEMBLE_FLOOR/members.
 
@@ -179,8 +168,7 @@ def random_ensemble(rho, members: int, seed) -> Ensemble:
         raise ParamOutOfRange(f"need at least one member, got {members}")
     d = rho.shape[0]
     _check_entries(members * d * d, f"random_ensemble(members={members}) in dimension {d}")
-    rng = numerics._rng(seed)
-    g = _complex_normal(rng, members, (d, d)) / np.sqrt(2)
+    g = numerics._complex_normal(numerics._rng(seed), members, (d, d)) / np.sqrt(2)
     pieces = g @ numerics.dagger(g)
     s_inv_half = numerics.psd_power(pieces.sum(axis=0), -0.5)
     sq = numerics.psd_power(rho, 0.5)
@@ -288,7 +276,7 @@ def ic_ensemble(rho, members: int, seed) -> ICEnsemble:
     # ensemble members); the frame's members x r^2 is no larger, since r <= d
     d = rho.shape[0]
     _check_entries(members * d * d, f"ic_ensemble(members={members}) in dimension {d}")
-    g = _complex_normal(numerics._rng(seed), members, (r,))
+    g = numerics._complex_normal(numerics._rng(seed), members, (r,))
     vecs = g / np.linalg.norm(g, axis=1, keepdims=True)
     outers = vecs[:, :, None] * vecs.conj()[:, None, :]
     # one psd_eigh for both: once the check passes, every eigenvalue is on the support

@@ -366,6 +366,27 @@ class TestAnalyze:
                   if k.startswith("slack")]
         assert len(slacks) == 9 and min(slacks) >= -1e-9
 
+    # one Kraus operator E = (I + delta J)^(1/2), J the all-ones matrix, so
+    # sum E^dag E = I + delta J, which kraus_channel accepts; the state leans
+    # on the uniform vector, along which E stretches. Read as given, E makes
+    # the joint distribution sum to 1 + d delta (refused at d = 2 and 3) or
+    # leaves a slack within 1e-12 of the floor (d = 2 and 4)
+    @pytest.mark.parametrize("d, delta", [(2, 9.9e-10), (3, 9.9e-10), (2, 5e-10), (4, 2.4e-10)])
+    def test_a_channel_the_boundary_accepts_keeps_every_slack(self, tmp_path, d, delta):
+        e = numerics.psd_sqrt(np.eye(d) + delta * np.ones((d, d)))
+        uu = np.full((d, d), 1 / d)
+        rho = 0.999 * uu + 0.001 * (np.eye(d) - uu) / (d - 1)
+        channel, state = tmp_path / "channel.json", tmp_path / "state.json"
+        channel.write_text(json.dumps({"dim": d, "kraus": [encode_matrix(e)]}))
+        state.write_text(json.dumps({"matrix": encode_matrix(rho)}))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--channel", str(channel), "--state", str(state),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        slacks = [v for part in ("direct", "converse") for k, v in payload[part].items()
+                  if k.startswith("slack")]
+        assert len(slacks) == 9 and min(slacks) >= -1e-12
+
     def test_ensemble_file(self, tmp_path):
         from erasurekit.serialize import encode_matrix
 
@@ -748,8 +769,9 @@ class TestSizeCaps:
         monkeypatch.setattr(numerics, "ginibre", refuse)
         monkeypatch.setattr(numerics, "_haar", refuse)
         monkeypatch.setattr("erasurekit.optimizer._starts", refuse)
-        # the one draw both random_ensemble and ic_ensemble make
-        monkeypatch.setattr("erasurekit.probes._complex_normal", refuse)
+        # the package's one complex Gaussian draw, which random_ensemble and
+        # ic_ensemble make directly
+        monkeypatch.setattr(numerics, "_complex_normal", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -444,9 +444,62 @@ class TestHaarUnitary:
         with pytest.raises(DimensionMismatch):
             haar_isometry(0, 0, 1)
 
+    def test_draws_follow_the_one_complex_gaussian_convention(self):
+        # item by item, all real parts and then all imaginary parts; a
+        # Ginibre draw is one item, scaled to N(0, 1/2) parts
+        for seed in range(20):
+            for shape in [(2, 2), (3, 2), (4, 4), (6, 1), (50, 2, 2)]:
+                rng = np.random.default_rng([seed, len(shape)])
+                items = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+                rng = np.random.default_rng([seed, len(shape)])
+                assert np.array_equal(numerics._complex_normal(rng, 3, shape), items)
+                rng = np.random.default_rng([seed, len(shape)])
+                assert np.array_equal(numerics._ginibre(shape, rng), items[0] / np.sqrt(2))
+
     def test_trace_moment_statistics(self):
         # E|Tr U|^2 = 1 for the Haar measure on U(d); a grossly biased sampler
         # (e.g. QR without the phase fix) lands far from 1
         rng = np.random.default_rng(314)
         samples = [abs(np.trace(haar_isometry(3, 3, rng))) ** 2 for _ in range(4000)]
         assert abs(np.mean(samples) - 1.0) < 0.1
+
+
+LONE_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (5, 5)]
+
+
+def _in_stacks_of_three(a, seed):
+    """``a`` at each position of a stack of three whose other two are Ginibre draws."""
+    others = numerics._ginibre((2, *a.shape), np.random.default_rng(seed))
+    return [np.insert(others, i, a, axis=0) for i in range(3)]
+
+
+def _assert_decompositions_alone_as_stacked(a, seed):
+    t, u = _polar_factors(a)
+    for i, stack in enumerate(_in_stacks_of_three(a, seed)):
+        norms = _trace_norms(stack)
+        assert np.array_equal(_trace_norms(a), norms[i]) and trace_norm(a) == norms[i]
+        ts, us = _polar_factors(stack)
+        assert np.array_equal(t, ts[i]) and np.array_equal(u, us[i])
+
+
+class TestALoneMatrixIsAStackOfOne:
+    # every kernel that selects its path by shape gives a matrix the same bits
+    # alone as at any position in a stack
+
+    @pytest.mark.parametrize("shape", LONE_SHAPES)
+    def test_decompositions(self, shape):
+        for seed in range(20):
+            _assert_decompositions_alone_as_stacked(ginibre(*shape, [70, seed]), [71, seed])
+
+    def test_decompositions_of_a_singular_2x2_matrix(self):
+        u, v = ginibre(2, 1, 72), ginibre(2, 1, 73)
+        _assert_decompositions_alone_as_stacked(u @ v.conj().T, 74)
+
+    @pytest.mark.parametrize("shape", LONE_SHAPES)
+    def test_orthonormalization_and_the_haar_isometry(self, shape):
+        for seed in range(20):
+            g = numerics._ginibre(shape, np.random.default_rng(seed))
+            alone = numerics._orthonormalize(g)
+            assert np.array_equal(haar_isometry(*shape, seed), alone)
+            for i, stack in enumerate(_in_stacks_of_three(g, [75, seed])):
+                assert np.array_equal(numerics._orthonormalize(stack)[i], alone)

@@ -961,10 +961,7 @@ class TestStarts:
     @pytest.mark.parametrize("m, kk", [(3, 3), (4, 4), (6, 4), (16, 16), (25, 5), (2, 2)])
     def test_each_haar_start_is_the_draw_of_its_own_seed(self, m, kk, group, monkeypatch):
         # restart r >= 2 starts from the Haar isometry of default_rng([seed, r]),
-        # whatever group it falls in. A lone 2 x 2 draw runs the closed form in
-        # numpy scalar arithmetic and a stacked one in array arithmetic, which
-        # can differ in the last bit, so at m = K = 2 the reference is the draw
-        # as a stack of one
+        # whatever group it falls in
         seed, searched = 7, []
         real = optimizer._ascend
 
@@ -980,9 +977,5 @@ class TestStarts:
         assert np.array_equal(searched[0], np.eye(m, kk))
         assert np.array_equal(searched[1], optimizer._perturbed_identity_start(m, kk))
         for r, w in enumerate(searched[2:], start=2):
-            rng = np.random.default_rng([seed, r])
-            if (m, kk) == (2, 2):
-                expected = numerics._haar((1, 2, 2), rng)[0]
-            else:
-                expected = haar_isometry(m, kk, rng)
+            expected = haar_isometry(m, kk, np.random.default_rng([seed, r]))
             assert np.array_equal(w, expected), r

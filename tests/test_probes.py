@@ -13,7 +13,6 @@ from erasurekit import (
     numerics,
     preset,
     probe_measurement,
-    probes,
     random_density,
     random_ensemble,
     random_measurement,
@@ -275,7 +274,7 @@ class TestICEnsemble:
     )
     def test_degenerate_frame_draw(self, monkeypatch, rows, error, match):
         vecs = np.array(rows, dtype=complex)
-        monkeypatch.setattr(probes, "_complex_normal", lambda rng, count, shape: vecs)
+        monkeypatch.setattr(numerics, "_complex_normal", lambda rng, count, shape: vecs)
         with pytest.raises(error, match=match):
             ic_ensemble(np.eye(2) / 2, 4, 0)
 

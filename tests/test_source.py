@@ -1,5 +1,6 @@
 """Source hygiene checked with the stdlib alone: every import in a module is used,
-and every private module-level name is used somewhere in the package."""
+every private module-level name is used somewhere in the package, and every
+seeded draw is decided in ``numerics``."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,24 @@ def test_every_private_name_is_used():
     defined = [(module, name) for module in trees for name in _private_definitions(trees[module])]
     assert defined
     assert sorted(f"{module}: {name}" for module, name in defined if name not in used) == []
+
+
+def _draw_decisions(tree: ast.Module) -> list[str]:
+    """Calls that decide a seeded draw: any ``.normal`` or ``.standard_normal``, and ``np.linalg.qr``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if node.func.attr in ("normal", "standard_normal") or name == "np.linalg.qr":
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "numerics.py")
+)
+def test_every_seeded_draw_is_decided_in_numerics(module):
+    # one module draws every complex Gaussian and orthonormalizes every Haar
+    # draw, so a seeded draw has one definition
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert _draw_decisions(tree) == []

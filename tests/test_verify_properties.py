@@ -1,5 +1,6 @@
 """Property tests of both inequality chains at d up to 6, drawn by hypothesis,
-and on states whose small eigenvalues sit around the package's cutoffs."""
+on channels off complete by up to the completeness tolerance, and on states
+whose small eigenvalues sit around the package's cutoffs."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from erasurekit import (
     haar_isometry,
+    kraus_channel,
     numerics,
     preset,
     random_density,
@@ -17,6 +19,19 @@ from erasurekit import (
     verify_converse,
     verify_direct,
 )
+from erasurekit.channels import COMPLETENESS_ATOL
+
+# a completeness deviation kraus_channel accepts, kept 1e-5 relative inside
+# the refusal so that rounding cannot push one past it
+DEVIATION = st.floats(-1, 1).map(lambda x: x * COMPLETENESS_ATOL * (1 - 1e-5))
+
+
+def _random_channel(d, kk, seed, deviation):
+    """The random preset with sum_k E_k^dag E_k moved off I to I + deviation H, where
+    H is a seeded Hermitian matrix whose largest entry is 1."""
+    h = numerics.hermitize(numerics.ginibre(d, d, [*seed, 9]))
+    root = numerics.psd_sqrt(np.eye(d) + deviation * h / np.abs(h).max())
+    return kraus_channel(preset("random", dim=d, kraus=kk, seed=seed).stack @ root)
 
 
 @st.composite
@@ -28,6 +43,7 @@ def configurations(draw):
         "members": draw(st.integers(2, 6)),
         "ic_members": d * d + draw(st.integers(0, 4)),
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "deviation": draw(DEVIATION),
     }
 
 
@@ -35,7 +51,7 @@ def configurations(draw):
 @given(cfg=configurations())
 def test_every_chain_slack_clears_the_floor(cfg):
     d, kk, seed = cfg["d"], cfg["kraus"], cfg["seed"]
-    channel = preset("random", dim=d, kraus=kk, seed=[seed, 0])
+    channel = _random_channel(d, kk, [seed, 0], cfg["deviation"])
     rho = random_density(d, [seed, 1])
     ens = random_ensemble(rho, cfg["members"], [seed, 2])
     meas = random_measurement(kk, kk, [seed, 3])
@@ -62,6 +78,7 @@ def cutoff_configurations(draw):
         "kraus": draw(st.integers(2, d * d)),
         "members": draw(st.integers(2, 6)),
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "deviation": draw(DEVIATION),
     }
 
 
@@ -70,7 +87,7 @@ def cutoff_configurations(draw):
 def test_spectra_around_the_cutoffs_keep_every_slack_above_the_floor(cfg):
     spectrum, kk, seed = cfg["spectrum"], cfg["kraus"], cfg["seed"]
     rho = _rotated(spectrum, [seed, 0])
-    channel = preset("random", dim=len(spectrum), kraus=kk, seed=[seed, 1])
+    channel = _random_channel(len(spectrum), kk, [seed, 1], cfg["deviation"])
     meas = random_measurement(kk, kk, [seed, 3])
     ens = random_ensemble(rho, cfg["members"], [seed, 2])
     verify_direct(channel, rho, ens, meas).assert_ok()
@@ -108,6 +125,7 @@ def accepted_off_cone_configurations(draw):
         "kraus": draw(st.integers(2, d * d)),
         "members": draw(st.integers(2, 6)),
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "deviation": draw(DEVIATION),
     }
 
 
@@ -116,7 +134,7 @@ def accepted_off_cone_configurations(draw):
 def test_a_state_accepted_off_the_cone_keeps_every_slack_above_the_floor(cfg):
     spectrum, kk, seed = cfg["spectrum"], cfg["kraus"], cfg["seed"]
     rho = _rotated(spectrum, [seed, 0])
-    channel = preset("random", dim=len(spectrum), kraus=kk, seed=[seed, 1])
+    channel = _random_channel(len(spectrum), kk, [seed, 1], cfg["deviation"])
     meas = random_measurement(kk, kk, [seed, 3])
     ens = random_ensemble(rho, cfg["members"], [seed, 2])
     verify_direct(channel, rho, ens, meas).assert_ok()
