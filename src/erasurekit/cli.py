@@ -235,6 +235,8 @@ def cmd_optimize(args) -> int:
     channel, channel_spec = _resolve_channel(args)
     rho = _resolve_state(args, channel.dim)
     outcomes = args.outcomes if args.outcomes > 0 else channel.kraus_count
+    if args.oracle:
+        optimizer._check_oracle(channel, args.oracle)
     result = optimize_erasure(
         channel,
         rho,

@@ -29,6 +29,13 @@ polar factor without an SVD, and ``_orthonormalize`` writes out the QR of
 a 2 x 2 Ginibre draw. Each selects its path by shape, and a lone matrix gets
 the bits it gets in a stack; every other shape takes LAPACK, and the closed
 forms agree with LAPACK to a few ulps.
+
+The closed forms write out their sums over a matrix's four entries or a
+column's two as explicit adds, in the order numpy's ``sum`` takes them, so
+the bits are the same. numpy reduces a short trailing axis one output at a
+time, and on a stack of 4,096 matrices the adds take under half the time of
+that reduction. The complex Gaussian draws are likewise written part by part
+into one preallocated array.
 """
 
 from __future__ import annotations
@@ -90,16 +97,29 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _complex_normal(rng: np.random.Generator, count: int, shape: tuple[int, ...]) -> np.ndarray:
-    """``count`` complex Gaussian arrays of ``shape``: item by item, all real parts and then
-    all imaginary parts, so a seeded item does not depend on how many follow it."""
-    x = rng.normal(size=(count, 2, *shape))
-    return x[:, 0] + 1j * x[:, 1]
+def _complex_normal(
+    rng: np.random.Generator, count: int, shape: tuple[int, ...], scale: float = 1.0
+) -> np.ndarray:
+    """``count`` complex Gaussian arrays of ``shape``, times ``scale``: item by item, all real
+    parts and then all imaginary parts, so a seeded item does not depend on how many follow it."""
+    return _complex_parts(rng.normal(size=(count, 2, *shape)), scale)
+
+
+def _complex_parts(x: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * (x[:, 0] + 1j * x[:, 1])``, each part written into one complex array.
+
+    numpy divides a complex array by a real d as a multiply of both parts by
+    1 / d, so a ``scale`` of 1 / d gives that division's bits.
+    """
+    z = np.empty((len(x), *x.shape[2:]), dtype=complex)
+    np.multiply(x[:, 0], scale, out=z.real)
+    np.multiply(x[:, 1], scale, out=z.imag)
+    return z
 
 
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     # one item of ``shape``, so a seeded draw depends on the whole ``shape``
-    return _complex_normal(rng, 1, shape)[0] / np.sqrt(2)
+    return _complex_normal(rng, 1, shape, 1 / np.sqrt(2))[0]
 
 
 def ginibre(rows: int, cols: int, seed) -> np.ndarray:
@@ -172,7 +192,13 @@ def trace_norm(a) -> float:
 
 def _det_and_trace_norm(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinant and trace norm sqrt(||A||_F^2 + 2 |det A|) of each 2 x 2 matrix."""
-    frobenius_sq = (stack.real**2 + stack.imag**2).sum(axis=(-2, -1))
+    squares = stack.real**2
+    squares += stack.imag**2
+    # numpy's sum over the four entries, in its order; with the matrix axes
+    # first, a lone matrix's entries are scalars, and .T restores batch axes
+    s = squares.T
+    frobenius_sq = (s[0, 0] + s[1, 0] + s[0, 1] + s[1, 1]).T
+    del squares, s  # freed before the determinant's temporaries
     det = stack[..., 0, 0] * stack[..., 1, 1] - stack[..., 0, 1] * stack[..., 1, 0]
     return det, np.sqrt(frobenius_sq + 2 * np.abs(det))
 
@@ -333,13 +359,21 @@ def verify_entropy_bounds(r, s) -> EntropyBounds:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """Each vector over the last axis of ``v`` divided by its Euclidean norm."""
-    return _divide(v, np.sqrt((v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)))
+    """Each 2-vector over the last axis of ``v`` divided by its Euclidean norm."""
+    squares = v.real**2 + v.imag**2
+    return _divide(v, np.sqrt(squares[..., :1] + squares[..., 1:]))
 
 
 def _haar(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Haar isometries of the last two axes of ``shape``: orthonormalized Ginibre draws."""
     return _orthonormalize(_ginibre(shape, rng))
+
+
+def _haar_each(shape: tuple[int, int], rngs: list[np.random.Generator]) -> np.ndarray:
+    """The stack of ``_haar(shape, rng)`` for each generator in ``rngs``: each draws its
+    own normals, and all of them are assembled and orthonormalized in one call."""
+    x = np.stack([rng.normal(size=(2, *shape)) for rng in rngs])
+    return _orthonormalize(_complex_parts(x, 1 / np.sqrt(2)))
 
 
 def _orthonormalize(g: np.ndarray) -> np.ndarray:

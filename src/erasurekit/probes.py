@@ -168,7 +168,7 @@ def random_ensemble(rho, members: int, seed) -> Ensemble:
         raise ParamOutOfRange(f"need at least one member, got {members}")
     d = rho.shape[0]
     _check_entries(members * d * d, f"random_ensemble(members={members}) in dimension {d}")
-    g = numerics._complex_normal(numerics._rng(seed), members, (d, d)) / np.sqrt(2)
+    g = numerics._complex_normal(numerics._rng(seed), members, (d, d), 1 / np.sqrt(2))
     pieces = g @ numerics.dagger(g)
     s_inv_half = numerics.psd_power(pieces.sum(axis=0), -0.5)
     sq = numerics.psd_power(rho, 0.5)

@@ -20,6 +20,7 @@ from erasurekit import (
     kraus_channel,
     numerics,
     optimize_erasure,
+    optimizer,
     preset,
     random_ensemble,
 )
@@ -787,6 +788,36 @@ class TestSizeCaps:
         assert main(["optimize", *argv, "--out", str(out)]) == 1
         assert "ParamOutOfRange" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, kk", [(128, 1), (2, 128)])
+    def test_oversized_oracle_fails_before_the_search(self, tmp_path, capsys, dim, kk):
+        # a chunk of 4,096 draws holds 4096 K d^2 branch entries and 4096 K^2
+        # draw entries: 2^26 for the identity at d = 128, and for 128 qubit
+        # operators, whose search fits within the cap
+        if kk == 1:
+            source = ["--preset", "identity", "--dim", str(dim)]
+        else:
+            path = tmp_path / "channel.json"
+            channel = kraus_channel([np.eye(dim) / np.sqrt(kk)] * kk)
+            path.write_text(json.dumps(channel_to_dict(channel)))
+            source = ["--channel", str(path)]
+        out = tmp_path / "opt.json"
+        assert main(["optimize", *source, "--oracle", "4096", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ParamOutOfRange" in err
+        assert not out.exists()
+
+    def test_oracle_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
+        # the identity at d = 64: a 4,096-sample chunk has 2^24 branch entries exactly
+        def one_restart(ops, m, *args):
+            return [(np.eye(m, dtype=complex), 1.0, True, [(0, 0, 1.0)])]
+
+        monkeypatch.setattr(optimizer, "_search", one_restart)
+        monkeypatch.setattr(cli, "sample_oracle", lambda *args: 1.0)
+        out = tmp_path / "opt.json"
+        argv = ["optimize", "--preset", "identity", "--dim", "64", "--oracle", "4096"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["oracle_value"] == 1.0
 
     def test_oversized_grid_fails_fast(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

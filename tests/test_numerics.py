@@ -146,6 +146,46 @@ class TestTraceNorms:
         assert np.array_equal(_trace_norms(stack), _svd_trace_norms(stack))
 
 
+def _det_and_trace_norm_by_sum(stack):
+    # the closed form with its Frobenius norm reduced by numpy's sum
+    frobenius_sq = (stack.real**2 + stack.imag**2).sum(axis=(-2, -1))
+    det = stack[..., 0, 0] * stack[..., 1, 1] - stack[..., 0, 1] * stack[..., 1, 0]
+    return det, np.sqrt(frobenius_sq + 2 * np.abs(det))
+
+
+def _unit_by_sum(v):
+    # unit 2-vectors with their squared norms reduced by numpy's sum
+    return numerics._divide(v, np.sqrt((v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)))
+
+
+class TestWrittenOutSums:
+    # the 2 x 2 closed forms add a matrix's four entries, or a column's two,
+    # one by one; the bits are those of numpy's sum
+
+    @pytest.mark.parametrize("n", [1, 3, 4096])
+    def test_the_determinant_and_trace_norm(self, n):
+        rng = np.random.default_rng([47, n])
+        g = ginibre(2 * n, 2, rng).reshape(n, 2, 2) * np.exp(8 * rng.normal(size=(n, 1, 1)))
+        singular, zero = g.copy(), g.copy()
+        singular[0, 1] = (0.5 - 2j) * singular[0, 0]
+        zero[-1] = 0
+        stacks = [singular, zero, singular[0], zero[-1]]
+        if n == 4096:
+            stacks.append(singular.reshape(64, 64, 2, 2))  # two batch axes
+        for stack in stacks:
+            got, want = numerics._det_and_trace_norm(stack), _det_and_trace_norm_by_sum(stack)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(np.shape(a) == np.shape(b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 3, 4096])
+    def test_the_unit_vectors(self, n):
+        rng = np.random.default_rng([48, n])
+        g = ginibre(2 * n, 2, rng).reshape(n, 2, 2) * np.exp(8 * rng.normal(size=(n, 1, 1)))
+        g[0, 1] = (0.5 - 2j) * g[0, 0]  # a singular matrix still has nonzero columns
+        for v in (g[..., 0], g[..., 1], g[0, :, 0], g[None, ..., 1]):
+            assert np.array_equal(numerics._unit(v), _unit_by_sum(v))
+
+
 EPS = np.finfo(float).eps
 
 
@@ -448,7 +488,7 @@ class TestHaarUnitary:
         # item by item, all real parts and then all imaginary parts; a
         # Ginibre draw is one item, scaled to N(0, 1/2) parts
         for seed in range(20):
-            for shape in [(2, 2), (3, 2), (4, 4), (6, 1), (50, 2, 2)]:
+            for shape in [(2, 2), (3, 2), (4, 4), (6, 1), (50, 2, 2), (4096, 2, 2)]:
                 rng = np.random.default_rng([seed, len(shape)])
                 items = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
                 rng = np.random.default_rng([seed, len(shape)])

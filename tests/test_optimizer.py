@@ -228,24 +228,27 @@ class TestSampleOracle:
             return draws[-1]
 
         monkeypatch.setattr(numerics, "_haar", recording_haar)
-        for dim in (2, 3):
+        cases = [(dim, samples) for dim in (2, 3) for samples in (1, 4096, 4097, 9000)]
+        if kk == 16:
+            # where contracting over a contiguous Kraus index gains most
+            cases += [(4, 1), (4, 4097)]
+        for dim, samples in cases:
             ch = preset("random", dim=dim, kraus=kk, seed=kk)
-            for samples in (1, 4096, 4097, 9000):
-                draws.clear()
-                value = sample_oracle(ch, samples=samples, seed=kk)
-                reference, reference_draws = _inline_oracle(ch, samples, kk)
-                assert len(draws) == len(reference_draws)
-                if kk == 2:
-                    for q, (w, g, r) in zip(draws, reference_draws):
-                        assert_near_the_qr_draw(q, w, g, r)
-                else:
-                    assert all(np.array_equal(a, w) for a, (w, _, _) in zip(draws, reference_draws))
-                if dim == 2 or kk == 2:
-                    # closed-form 2 x 2 trace norms, or 2 x 2 draws, agree
-                    # with the SVD and QR forms to a few ulps
-                    assert abs(value - reference) <= 8 * np.finfo(float).eps * reference
-                else:
-                    assert value == reference
+            draws.clear()
+            value = sample_oracle(ch, samples=samples, seed=kk)
+            reference, reference_draws = _inline_oracle(ch, samples, kk)
+            assert len(draws) == len(reference_draws)
+            if kk == 2:
+                for q, (w, g, r) in zip(draws, reference_draws):
+                    assert_near_the_qr_draw(q, w, g, r)
+            else:
+                assert all(np.array_equal(a, w) for a, (w, _, _) in zip(draws, reference_draws))
+            if dim == 2 or kk == 2:
+                # closed-form 2 x 2 trace norms, or 2 x 2 draws, agree
+                # with the SVD and QR forms to a few ulps
+                assert abs(value - reference) <= 8 * np.finfo(float).eps * reference
+            else:
+                assert value == reference
 
     def test_identity_channel(self):
         assert sample_oracle(preset("identity"), samples=3, seed=0) == pytest.approx(
@@ -256,6 +259,19 @@ class TestSampleOracle:
     def test_no_samples(self, samples):
         with pytest.raises(ParamOutOfRange, match="at least one sample"):
             sample_oracle(preset("identity"), samples=samples)
+
+    @pytest.mark.parametrize("dim, kk", [(128, 1), (2, 128)])
+    def test_an_oversized_chunk_is_refused_before_the_first_draw(self, dim, kk, monkeypatch):
+        # a chunk of 4,096 draws holds 4096 K d^2 branch entries and 4096 K^2
+        # draw entries: 2^26 for the identity at d = 128, and for 128 qubit
+        # operators
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(numerics, "_haar", refuse)
+        channel = kraus_channel([np.eye(dim) / np.sqrt(kk)] * kk)
+        with pytest.raises(ParamOutOfRange, match="67108864 complex entries"):
+            sample_oracle(channel, samples=4096)
 
     def test_projector_channel_approaches_optimum(self):
         value = sample_oracle(projector_channel(), MIXED, samples=10_000, seed=1)
